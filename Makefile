@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify bench perf compile-smoke epoch-smoke checkpoint-smoke
+.PHONY: all build test verify bench perf compile-smoke epoch-smoke checkpoint-smoke alewife256-smoke
 
 all: verify
 
@@ -64,3 +64,12 @@ checkpoint-smoke:
 		-checkpoint-keep 20 -checkpoint-dir /tmp/ckpt-bisect examples/progs/queens.mt || true
 	/tmp/april -bisect /tmp/ckpt-bisect | grep -q '^first violating cycle: 150000$$'
 	$(GO) test -race -run Snapshot -v ./internal/sim/
+
+# Quick gate for the work-proportional run loop at its fullest: 256-node
+# ALEWIFE queens on the fast loop and on the -reference oracle must
+# print identical stats.
+alewife256-smoke:
+	$(GO) build -o /tmp/april ./cmd/april
+	/tmp/april -n 256 -alewife -mem 2048 -stats-json examples/progs/queens.mt | tail -1 > /tmp/aw256-fast.json
+	/tmp/april -n 256 -alewife -mem 2048 -reference -stats-json examples/progs/queens.mt | tail -1 > /tmp/aw256-ref.json
+	diff /tmp/aw256-fast.json /tmp/aw256-ref.json

@@ -53,20 +53,28 @@ func (c Config) Validate() error {
 	if blocks%uint32(c.Assoc) != 0 {
 		return fmt.Errorf("cache: %d blocks not divisible by associativity %d", blocks, c.Assoc)
 	}
+	if blocks == 0 {
+		return fmt.Errorf("cache: size %d holds no blocks", c.SizeBytes)
+	}
 	return nil
 }
 
-type line struct {
-	block uint32 // block number (addr / BlockBytes)
-	state State
-	dirty bool
-	lru   uint64
-}
+// A slot's meta byte packs its State (the low bits) with its dirty
+// bit. The slot holds a block iff its state bits are nonzero.
+const dirtyBit uint8 = 0x80
 
-// Cache is a set-associative cache indexed by block number.
+// Cache is a set-associative cache indexed by block number. Slots are
+// stored flat in (set, way) order as parallel tag, meta and lru arrays,
+// so a set's tags are adjacent in memory and one probe finds a block.
+// An Invalid slot keeps its last tag (snapshots record it).
 type Cache struct {
 	cfg   Config
-	sets  [][]line
+	ways  int
+	nsets uint32
+	pow2  bool // nsets is a power of two: index sets with a mask
+	tags  []uint32
+	meta  []uint8 // State | dirtyBit
+	lru   []uint64
 	clock uint64
 
 	// Stats.
@@ -78,12 +86,17 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	nsets := int(cfg.SizeBytes/cfg.BlockBytes) / cfg.Assoc
-	sets := make([][]line, nsets)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Assoc)
+	slots := int(cfg.SizeBytes / cfg.BlockBytes)
+	c := &Cache{
+		cfg:   cfg,
+		ways:  cfg.Assoc,
+		nsets: uint32(slots / cfg.Assoc),
+		tags:  make([]uint32, slots),
+		meta:  make([]uint8, slots),
+		lru:   make([]uint64, slots),
 	}
-	return &Cache{cfg: cfg, sets: sets}, nil
+	c.pow2 = c.nsets&(c.nsets-1) == 0
+	return c, nil
 }
 
 // Config returns the cache geometry.
@@ -92,51 +105,72 @@ func (c *Cache) Config() Config { return c.cfg }
 // Block maps a byte address to its block number.
 func (c *Cache) Block(addr uint32) uint32 { return addr / c.cfg.BlockBytes }
 
-func (c *Cache) set(block uint32) []line {
-	return c.sets[block%uint32(len(c.sets))]
+// setStart is the slot index of block's set's first way.
+func (c *Cache) setStart(block uint32) int {
+	if c.pow2 {
+		return int(block&(c.nsets-1)) * c.ways
+	}
+	return int(block%c.nsets) * c.ways
 }
 
-func (c *Cache) find(block uint32) *line {
-	set := c.set(block)
-	for i := range set {
-		if set[i].state != Invalid && set[i].block == block {
-			return &set[i]
+// ProbeSlot finds block without touching LRU or stats, returning its
+// slot index and state, or -1 and Invalid when it is not cached. The
+// index stays valid until the next Insert.
+func (c *Cache) ProbeSlot(block uint32) (int, State) {
+	start := c.setStart(block)
+	for i := start; i < start+c.ways; i++ {
+		if c.tags[i] == block && c.meta[i]&^dirtyBit != 0 {
+			return i, State(c.meta[i] &^ dirtyBit)
 		}
 	}
-	return nil
+	return -1, Invalid
 }
+
+// LookupSlot is Lookup returning the hit's slot index (-1 on a miss).
+func (c *Cache) LookupSlot(block uint32) (int, State) {
+	i, st := c.ProbeSlot(block)
+	if i < 0 {
+		c.Misses++
+		return -1, Invalid
+	}
+	c.HitSlot(i)
+	return i, st
+}
+
+// HitSlot counts a hit on slot i and touches its LRU stamp: the hit
+// half of Lookup, for a slot ProbeSlot found.
+func (c *Cache) HitSlot(i int) {
+	c.clock++
+	c.lru[i] = c.clock
+	c.Hits++
+}
+
+// MarkDirtySlot notes that the (exclusive) block in slot i was written.
+func (c *Cache) MarkDirtySlot(i int) { c.meta[i] |= dirtyBit }
 
 // Lookup returns the block's state, touching LRU on a hit.
 func (c *Cache) Lookup(block uint32) (State, bool) {
-	if l := c.find(block); l != nil {
-		c.clock++
-		l.lru = c.clock
-		c.Hits++
-		return l.state, true
-	}
-	c.Misses++
-	return Invalid, false
+	i, st := c.LookupSlot(block)
+	return st, i >= 0
 }
 
 // Probe reads the state without touching LRU or stats.
 func (c *Cache) Probe(block uint32) (State, bool) {
-	if l := c.find(block); l != nil {
-		return l.state, true
-	}
-	return Invalid, false
+	i, st := c.ProbeSlot(block)
+	return st, i >= 0
 }
 
 // MarkDirty notes that the (exclusive) block was written.
 func (c *Cache) MarkDirty(block uint32) {
-	if l := c.find(block); l != nil {
-		l.dirty = true
+	if i, _ := c.ProbeSlot(block); i >= 0 {
+		c.MarkDirtySlot(i)
 	}
 }
 
 // Dirty reports whether a cached block is dirty.
 func (c *Cache) Dirty(block uint32) bool {
-	l := c.find(block)
-	return l != nil && l.dirty
+	i, _ := c.ProbeSlot(block)
+	return i >= 0 && c.meta[i]&dirtyBit != 0
 }
 
 // Victim describes an evicted block.
@@ -149,47 +183,47 @@ type Victim struct {
 // Insert installs block with the given state, returning the evicted
 // victim if the set was full.
 func (c *Cache) Insert(block uint32, st State) (Victim, bool) {
-	if l := c.find(block); l != nil {
+	c.clock++
+	if i, _ := c.ProbeSlot(block); i >= 0 {
 		// Upgrade/downgrade in place.
-		l.state = st
-		c.clock++
-		l.lru = c.clock
+		c.meta[i] = uint8(st) | c.meta[i]&dirtyBit
+		c.lru[i] = c.clock
 		return Victim{}, false
 	}
-	set := c.set(block)
-	vi := 0
-	for i := range set {
-		if set[i].state == Invalid {
+	start := c.setStart(block)
+	vi := start
+	for i := start; i < start+c.ways; i++ {
+		if c.meta[i]&^dirtyBit == 0 {
 			vi = i
 			break
 		}
-		if set[i].lru < set[vi].lru {
+		if c.lru[i] < c.lru[vi] {
 			vi = i
 		}
 	}
 	var victim Victim
-	evicted := set[vi].state != Invalid
+	evicted := c.meta[vi]&^dirtyBit != 0
 	if evicted {
-		victim = Victim{Block: set[vi].block, State: set[vi].state, Dirty: set[vi].dirty}
+		victim = Victim{Block: c.tags[vi], State: State(c.meta[vi] &^ dirtyBit), Dirty: c.meta[vi]&dirtyBit != 0}
 		c.Evictions++
 		if victim.Dirty {
 			c.Writebacks++
 		}
 	}
-	c.clock++
-	set[vi] = line{block: block, state: st, lru: c.clock}
+	c.tags[vi], c.meta[vi], c.lru[vi] = block, uint8(st), c.clock
 	return victim, evicted
 }
 
 // SetState changes a cached block's state (downgrades clear dirty).
 func (c *Cache) SetState(block uint32, st State) bool {
-	l := c.find(block)
-	if l == nil {
+	i, _ := c.ProbeSlot(block)
+	if i < 0 {
 		return false
 	}
-	l.state = st
-	if st != Exclusive {
-		l.dirty = false
+	if st == Exclusive {
+		c.meta[i] = uint8(st) | c.meta[i]&dirtyBit
+	} else {
+		c.meta[i] = uint8(st)
 	}
 	if st == Invalid {
 		c.Invalidations++
@@ -200,13 +234,12 @@ func (c *Cache) SetState(block uint32, st State) bool {
 // Invalidate removes a block, reporting whether it was present and
 // dirty.
 func (c *Cache) Invalidate(block uint32) (wasDirty, wasPresent bool) {
-	l := c.find(block)
-	if l == nil {
+	i, _ := c.ProbeSlot(block)
+	if i < 0 {
 		return false, false
 	}
-	wasDirty = l.dirty
-	l.state = Invalid
-	l.dirty = false
+	wasDirty = c.meta[i]&dirtyBit != 0
+	c.meta[i] = 0
 	c.Invalidations++
 	return wasDirty, true
 }
@@ -214,11 +247,9 @@ func (c *Cache) Invalidate(block uint32) (wasDirty, wasPresent bool) {
 // Occupancy counts valid lines (for interference studies).
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, set := range c.sets {
-		for _, l := range set {
-			if l.state != Invalid {
-				n++
-			}
+	for _, m := range c.meta {
+		if m&^dirtyBit != 0 {
+			n++
 		}
 	}
 	return n
@@ -227,11 +258,9 @@ func (c *Cache) Occupancy() int {
 // ForEach calls fn for every valid line, in set order. Cold path: the
 // fault checker's coherence audits iterate whole caches with it.
 func (c *Cache) ForEach(fn func(block uint32, st State, dirty bool)) {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].state != Invalid {
-				fn(set[i].block, set[i].state, set[i].dirty)
-			}
+	for i, m := range c.meta {
+		if m&^dirtyBit != 0 {
+			fn(c.tags[i], State(m&^dirtyBit), m&dirtyBit != 0)
 		}
 	}
 }

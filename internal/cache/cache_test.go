@@ -20,6 +20,7 @@ func TestConfigValidation(t *testing.T) {
 		{SizeBytes: 64, BlockBytes: 16, Assoc: 3},  // blocks not divisible
 		{SizeBytes: 64, BlockBytes: 16, Assoc: 0},
 		{SizeBytes: 64, BlockBytes: 0, Assoc: 1},
+		{SizeBytes: 0, BlockBytes: 16, Assoc: 4}, // no sets
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

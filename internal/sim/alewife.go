@@ -194,9 +194,6 @@ func (m *Machine) newCachePort(node int) proc.MemPort {
 		fabric:     f,
 		cache:      c,
 		dir:        directory.New(),
-		pending:    map[uint32]missState{},
-		homeTx:     map[uint32]*homeTx{},
-		locked:     map[uint32]uint64{},
 		lockWindow: uint64(4*prof.Frames*(prof.SwitchCycles+prof.TrapEntry) + 64),
 	}
 	f.ctls = append(f.ctls, ctl)
@@ -294,7 +291,7 @@ func (f *netFabric) ctlNextEvent(ctl *cacheCtl, next uint64) uint64 {
 	for i := range ctl.recallQ {
 		pr := &ctl.recallQ[i]
 		at := pr.deadline
-		if exp, held := ctl.locked[pr.msg.Block]; held && exp < at {
+		if exp, held := ctl.locked.get(pr.msg.Block); held && exp < at {
 			at = exp
 		}
 		if at <= f.now {
@@ -383,8 +380,8 @@ type cacheCtl struct {
 	cache  *cache.Cache
 	dir    *directory.Directory
 
-	pending  map[uint32]missState // by value: missState is two words, no box
-	homeTx   map[uint32]*homeTx
+	pending  blockTable[missState] // by value: missState is two words, no box
+	homeTx   blockTable[*homeTx]
 	txFree   []*homeTx // retired homeTx objects, recycled with their queued capacity
 	outbox   []outMsg
 	outSpare []outMsg // flushOutbox double buffer
@@ -398,7 +395,7 @@ type cacheCtl struct {
 	// block. The window must exceed a switch-spinning thread's retry
 	// period — all resident frames rotating through context switches —
 	// or every line is stolen before its requester returns.
-	locked      map[uint32]uint64 // block -> protection expiry cycle
+	locked      blockTable[uint64] // block -> protection expiry cycle
 	lockWindow  uint64
 	recallQ     []pendingRecall // recalls deferred by the interlock or a miss
 	recallSpare []pendingRecall // processRecalls double buffer
@@ -520,17 +517,20 @@ func (c *cacheCtl) Access(addr uint32, f isa.MemFlavor, store bool, value isa.Wo
 // caller's fallback through Access observes exactly the state the
 // reference path would. The callers exclude full/empty-flavored
 // accesses, so needWrite reduces to store and FEAccess cannot
-// sync-fault. Note Probe, not Lookup, makes the refusal decision: a
+// sync-fault. Note a probe, not Lookup, makes the refusal decision: a
 // refused access must not pre-count the miss the full path is about to
-// count. (The invariant checkers force the compiled tier off, so the
-// checkBlock audit in Access has no counterpart here.)
+// count. The cache and the interlock table are each probed once; the
+// hit then works on the slots found. (The invariant checkers force the
+// compiled tier off, so the checkBlock audit in Access has no
+// counterpart here.)
 func (c *cacheCtl) EpochHit(addr uint32, store bool, value isa.Word) (isa.Word, bool, bool) {
 	block := c.blockOf(addr)
-	st, hit := c.cache.Probe(block)
-	if !hit || (store && st != cache.Exclusive) || !c.mem().InRange(addr) {
+	slot, st := c.cache.ProbeSlot(block)
+	if slot < 0 || (store && st != cache.Exclusive) || !c.mem().InRange(addr) {
 		return 0, false, false
 	}
-	if _, held := c.locked[block]; held {
+	lock := c.locked.find(block)
+	if lock >= 0 {
 		// A hit releases the first-use interlock, and a recall deferred
 		// on that lock would then fire on the very next tick — earlier
 		// than the nextEvent() horizon the epoch window was proved
@@ -543,7 +543,7 @@ func (c *cacheCtl) EpochHit(addr uint32, store bool, value isa.Word) (isa.Word, 
 			}
 		}
 	}
-	c.cache.Lookup(block)
+	c.cache.HitSlot(slot)
 	res, err := proc.FEAccess(c.mem(), addr, isa.MemFlavor{}, store, value)
 	if err != nil {
 		// Unreachable: InRange held above and a plain flavored access
@@ -552,9 +552,11 @@ func (c *cacheCtl) EpochHit(addr uint32, store bool, value isa.Word) (isa.Word, 
 		panic(err)
 	}
 	if store {
-		c.cache.MarkDirty(block)
+		c.cache.MarkDirtySlot(slot)
 	}
-	delete(c.locked, block)
+	if lock >= 0 {
+		c.locked.deleteAt(lock)
+	}
 	return res.Value, res.Full, true
 }
 
@@ -562,20 +564,20 @@ func (c *cacheCtl) access(addr uint32, f isa.MemFlavor, store bool, value isa.Wo
 	needWrite := store || f.ResetFE || f.SetFE
 	block := c.blockOf(addr)
 
-	if st, hit := c.cache.Lookup(block); hit && (st == cache.Exclusive || !needWrite) {
+	if slot, st := c.cache.LookupSlot(block); slot >= 0 && (st == cache.Exclusive || !needWrite) {
 		res, err := proc.FEAccess(c.mem(), addr, f, store, value)
 		if err == nil && res.Outcome == proc.OK && needWrite {
-			c.cache.MarkDirty(block)
+			c.cache.MarkDirtySlot(slot)
 		}
 		if err == nil {
 			// One access completed: release the interlock.
-			delete(c.locked, block)
+			c.locked.del(block)
 		}
 		return res, err
 	}
 
 	// Miss (or upgrade). An outstanding transaction for this block?
-	if _, busy := c.pending[block]; busy {
+	if c.pending.has(block) {
 		return c.missResult(f), nil
 	}
 
@@ -593,7 +595,7 @@ func (c *cacheCtl) access(addr uint32, f isa.MemFlavor, store bool, value isa.Wo
 		}
 		// Home here, but third parties hold the block: run the home
 		// transaction against ourselves as requester.
-		c.pending[block] = missState{write: needWrite, start: c.fabric.now}
+		c.pending.put(block, missState{write: needWrite, start: c.fabric.now})
 		c.fabric.trace.Emit(c.node, trace.KMissStart, int32(block), b2i(needWrite), int32(home), 0)
 		kind := directory.ReadReq
 		if needWrite {
@@ -604,7 +606,7 @@ func (c *cacheCtl) access(addr uint32, f isa.MemFlavor, store bool, value isa.Wo
 	}
 
 	// Remote home: issue the request.
-	c.pending[block] = missState{write: needWrite, start: c.fabric.now}
+	c.pending.put(block, missState{write: needWrite, start: c.fabric.now})
 	c.fabric.trace.Emit(c.node, trace.KMissStart, int32(block), b2i(needWrite), int32(home), 0)
 	kind := directory.ReadReq
 	if needWrite {
@@ -633,7 +635,7 @@ func (c *cacheCtl) missResult(f isa.MemFlavor) proc.MemResult {
 // tryLocal satisfies a home-node miss without the network when the
 // directory permits: nobody else holds the block (or only we do).
 func (c *cacheCtl) tryLocal(block uint32, write bool) (stall int, ok bool) {
-	if _, busy := c.homeTx[block]; busy {
+	if c.homeTx.has(block) {
 		return 0, false
 	}
 	e := c.dir.Entry(block)
@@ -700,9 +702,8 @@ func (c *cacheCtl) handleMsg(msg directory.Msg) {
 		c.homeRequest(msg)
 
 	case directory.WBNotify, directory.FlushWB:
-		if tx, busy := c.homeTx[msg.Block]; busy {
-			_ = tx // a Fetch is in flight; the FetchAck path completes the tx
-		} else {
+		// While a Fetch is in flight, the FetchAck path completes the tx.
+		if !c.homeTx.has(msg.Block) {
 			e := c.dir.Entry(msg.Block)
 			if e.State == directory.Exclusive && e.Owner == msg.From {
 				e.State = directory.Uncached
@@ -727,11 +728,11 @@ func (c *cacheCtl) handleMsg(msg directory.Msg) {
 		c.homeAck(msg)
 
 	case directory.Data, directory.DataEx:
-		ms, busy := c.pending[msg.Block]
+		ms, busy := c.pending.get(msg.Block)
 		if !busy {
 			return // stale duplicate; drop
 		}
-		delete(c.pending, msg.Block)
+		c.pending.del(msg.Block)
 		c.Stats.RemoteMisses++
 		c.Stats.RemoteLatency += c.fabric.now - ms.start
 		c.fabric.trace.Emit(c.node, trace.KMissFill,
@@ -743,7 +744,7 @@ func (c *cacheCtl) handleMsg(msg directory.Msg) {
 			return
 		}
 		c.install(msg.Block, msg.Kind == directory.DataEx)
-		c.locked[msg.Block] = c.fabric.now + c.lockWindow
+		c.locked.put(msg.Block, c.fabric.now+c.lockWindow)
 		// Recalls that were waiting for this grant now queue behind the
 		// first-use interlock (processRecalls applies them).
 	}
@@ -761,16 +762,16 @@ func (c *cacheCtl) handleMsg(msg directory.Msg) {
 //     (Section 3.1's forward-progress interlock).
 func (c *cacheCtl) handleRecall(msg directory.Msg) {
 	_, cached := c.cache.Probe(msg.Block)
-	if ms, busy := c.pending[msg.Block]; busy {
+	if ms, busy := c.pending.get(msg.Block); busy {
 		if !cached {
 			c.recallQ = append(c.recallQ, pendingRecall{msg: msg, deadline: c.fabric.now + recallWait})
 			c.fabric.markDirty(c.node)
 			return
 		}
 		ms.poisoned = true
-		c.pending[msg.Block] = ms
+		c.pending.put(msg.Block, ms)
 	}
-	if exp, held := c.locked[msg.Block]; held && c.fabric.now < exp {
+	if exp, held := c.locked.get(msg.Block); held && c.fabric.now < exp {
 		c.recallQ = append(c.recallQ, pendingRecall{msg: msg, deadline: c.fabric.now + recallWait})
 		c.fabric.markDirty(c.node)
 		return
@@ -790,11 +791,11 @@ func (c *cacheCtl) processRecalls() {
 	c.recallQ = c.recallSpare[:0]
 	for _, pr := range q {
 		block := pr.msg.Block
-		if exp, held := c.locked[block]; held && c.fabric.now < exp {
+		if exp, held := c.locked.get(block); held && c.fabric.now < exp {
 			c.recallQ = append(c.recallQ, pr)
 			continue
 		}
-		ms, busy := c.pending[block]
+		ms, busy := c.pending.get(block)
 		_, cached := c.cache.Probe(block)
 		if busy && !cached && c.fabric.now < pr.deadline {
 			c.recallQ = append(c.recallQ, pr)
@@ -802,7 +803,7 @@ func (c *cacheCtl) processRecalls() {
 		}
 		if busy {
 			ms.poisoned = true
-			c.pending[block] = ms
+			c.pending.put(block, ms)
 		}
 		c.recall(pr.msg)
 	}
@@ -837,7 +838,7 @@ func (c *cacheCtl) recall(msg directory.Msg) {
 // homeRequest runs the directory state machine for a request arriving
 // at this (home) node.
 func (c *cacheCtl) homeRequest(req directory.Msg) {
-	if tx, busy := c.homeTx[req.Block]; busy {
+	if tx, busy := c.homeTx.get(req.Block); busy {
 		tx.queued = append(tx.queued, req)
 		return
 	}
@@ -861,7 +862,7 @@ func (c *cacheCtl) homeRequest(req directory.Msg) {
 				return
 			}
 			c.dir.Fetches++
-			c.homeTx[req.Block] = c.newTx(false, req.From, 1)
+			c.homeTx.put(req.Block, c.newTx(false, req.From, 1))
 			c.send(e.Owner, directory.Msg{Kind: directory.Fetch, Block: req.Block, Requester: req.From, Write: false}, 0)
 		}
 		return
@@ -884,7 +885,7 @@ func (c *cacheCtl) homeRequest(req directory.Msg) {
 			return
 		}
 		c.dir.InvalsSent += uint64(len(targets))
-		c.homeTx[req.Block] = c.newTx(true, req.From, len(targets))
+		c.homeTx.put(req.Block, c.newTx(true, req.From, len(targets)))
 		for _, t := range targets {
 			c.send(t, directory.Msg{Kind: directory.Inv, Block: req.Block, Requester: req.From}, 0)
 		}
@@ -894,7 +895,7 @@ func (c *cacheCtl) homeRequest(req directory.Msg) {
 			return
 		}
 		c.dir.Fetches++
-		c.homeTx[req.Block] = c.newTx(true, req.From, 1)
+		c.homeTx.put(req.Block, c.newTx(true, req.From, 1))
 		c.send(e.Owner, directory.Msg{Kind: directory.Fetch, Block: req.Block, Requester: req.From, Write: true}, 0)
 	}
 }
@@ -902,7 +903,7 @@ func (c *cacheCtl) homeRequest(req directory.Msg) {
 // homeAck retires one acknowledgment of a pending home transaction and
 // completes it when all are in.
 func (c *cacheCtl) homeAck(msg directory.Msg) {
-	tx, busy := c.homeTx[msg.Block]
+	tx, busy := c.homeTx.get(msg.Block)
 	if !busy {
 		return
 	}
@@ -910,7 +911,7 @@ func (c *cacheCtl) homeAck(msg directory.Msg) {
 	if tx.acksLeft > 0 {
 		return
 	}
-	delete(c.homeTx, msg.Block)
+	c.homeTx.del(msg.Block)
 	e := c.dir.Entry(msg.Block)
 	lat := c.fabric.cfg.MemLatency
 	old := e.State

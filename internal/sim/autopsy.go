@@ -64,7 +64,7 @@ func (m *Machine) buildReport(reason string, cause error) *fault.Report {
 			Ready:       m.Sched.ReadyOn(i),
 		}
 		if n.cache != nil {
-			for block, ms := range n.cache.pending {
+			n.cache.pending.forEach(func(block uint32, ms missState) {
 				ns.Outstanding = append(ns.Outstanding, fault.MissStatus{
 					Block:    block,
 					Home:     m.net.dist.Home(block * m.net.cfg.Cache.BlockBytes),
@@ -72,7 +72,7 @@ func (m *Machine) buildReport(reason string, cause error) *fault.Report {
 					Age:      m.net.now - ms.start,
 					Poisoned: ms.poisoned,
 				})
-			}
+			})
 			slices.SortFunc(ns.Outstanding, func(a, b fault.MissStatus) int {
 				return int(a.Block) - int(b.Block)
 			})

@@ -34,6 +34,7 @@ type ffConfig struct {
 	alewife bool
 	naive   bool // reference loop AND reference interpreter
 	tracing bool
+	memMB   uint32 // simulated memory; 0 is the default
 
 	// Independent flag control for the mixed-mode combinations
 	// (ignored unless mixed is set; naive must be false then).
@@ -58,6 +59,7 @@ func runDifferential(t *testing.T, src string, cfg ffConfig) ffOutcome {
 		Alewife:            aw,
 		DisableFastForward: disFF,
 		DisablePredecode:   disPre,
+		MemoryBytes:        cfg.memMB << 20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,6 +135,15 @@ func TestFastForwardMatchesNaiveLoop(t *testing.T) {
 				}
 			}
 		}
+		// 256 nodes is where the wake queue is fullest: most nodes
+		// spin in 4-cycle idle polls. The machine needs more than the
+		// default memory for its per-node arenas.
+		t.Run(fmt.Sprintf("%s/alewife/256p/plain", name), func(t *testing.T) {
+			cfg := ffConfig{nodes: 256, alewife: true, memMB: 2048}
+			fast := runDifferential(t, src, cfg)
+			cfg.naive = true
+			compareOutcomes(t, fast, runDifferential(t, src, cfg))
+		})
 	}
 }
 

@@ -631,15 +631,15 @@ func (m *Machine) checkWedge() error {
 		var worstBlock uint32
 		var worstAge uint64
 		found := false
-		for block, ms := range n.cache.pending {
+		n.cache.pending.forEach(func(block uint32, ms missState) {
 			age := m.net.now - ms.start
 			if age < wedgeWindow {
-				continue
+				return
 			}
 			if !found || age > worstAge || (age == worstAge && block < worstBlock) {
 				found, worstBlock, worstAge = true, block, age
 			}
-		}
+		})
 		if found {
 			return m.crash(fault.ReasonLivelock, fmt.Errorf(
 				"sim: livelock: node %d remote operation on block %#x outstanding for %d cycles",

@@ -417,11 +417,11 @@ func (m *Machine) busyRemaining() []uint64 {
 		}
 		return rem
 	}
-	for _, e := range m.wakeq.heap {
-		if e.wake > m.now {
-			rem[e.node] = e.wake - m.now
+	m.wakeq.forEach(func(node int, wake uint64) {
+		if wake > m.now {
+			rem[node] = wake - m.now
 		}
-	}
+	})
 	return rem
 }
 
@@ -1021,9 +1021,9 @@ func encodeCtl(w *snapshot.Writer, c *cacheCtl) {
 	})
 
 	// Outstanding misses, sorted by block.
-	w.Count(len(c.pending))
-	for _, block := range sortedKeys(c.pending) {
-		ms := c.pending[block]
+	w.Count(c.pending.len())
+	for _, block := range c.pending.sortedKeys() {
+		ms, _ := c.pending.get(block)
 		w.U32(block)
 		w.Bool(ms.write)
 		w.U64(ms.start)
@@ -1031,9 +1031,9 @@ func encodeCtl(w *snapshot.Writer, c *cacheCtl) {
 	}
 
 	// Home transactions, sorted by block.
-	w.Count(len(c.homeTx))
-	for _, block := range sortedKeys(c.homeTx) {
-		tx := c.homeTx[block]
+	w.Count(c.homeTx.len())
+	for _, block := range c.homeTx.sortedKeys() {
+		tx, _ := c.homeTx.get(block)
 		w.U32(block)
 		w.Bool(tx.write)
 		w.Int(tx.requester)
@@ -1058,10 +1058,11 @@ func encodeCtl(w *snapshot.Writer, c *cacheCtl) {
 	}
 
 	w.Int(c.fence)
-	w.Count(len(c.locked))
-	for _, block := range sortedKeys(c.locked) {
+	w.Count(c.locked.len())
+	for _, block := range c.locked.sortedKeys() {
+		exp, _ := c.locked.get(block)
 		w.U32(block)
-		w.U64(c.locked[block])
+		w.U64(exp)
 	}
 	w.U64(c.replySeq)
 	w.U64(c.Stats.LocalMisses)
@@ -1139,18 +1140,18 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 	}
 
 	npend := r.Count("pending misses")
-	c.pending = make(map[uint32]missState, npend)
+	c.pending.reset()
 	for i := 0; i < npend; i++ {
 		block := r.U32()
 		var ms missState
 		ms.write = r.Bool()
 		ms.start = r.U64()
 		ms.poisoned = r.Bool()
-		c.pending[block] = ms
+		c.pending.put(block, ms)
 	}
 
 	ntx := r.Count("home transactions")
-	c.homeTx = make(map[uint32]*homeTx, ntx)
+	c.homeTx.reset()
 	for i := 0; i < ntx; i++ {
 		block := r.U32()
 		tx := &homeTx{}
@@ -1164,7 +1165,7 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 		if r.Err() != nil {
 			return
 		}
-		c.homeTx[block] = tx
+		c.homeTx.put(block, tx)
 	}
 
 	nout := r.Count("outbox")
@@ -1187,27 +1188,16 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 
 	c.fence = r.Int()
 	nlock := r.Count("locked blocks")
-	c.locked = make(map[uint32]uint64, nlock)
+	c.locked.reset()
 	for i := 0; i < nlock; i++ {
 		block := r.U32()
-		c.locked[block] = r.U64()
+		c.locked.put(block, r.U64())
 	}
 	c.replySeq = r.U64()
 	c.Stats.LocalMisses = r.U64()
 	c.Stats.RemoteMisses = r.U64()
 	c.Stats.RemoteLatency = r.U64()
 	c.Stats.Upgrades = r.U64()
-}
-
-// sortedKeys returns a map's uint32 keys ascending (deterministic
-// encode order for map-backed controller state).
-func sortedKeys[V any](m map[uint32]V) []uint32 {
-	ks := make([]uint32, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
 }
 
 // ---------------------------------------------------------------------------
