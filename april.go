@@ -151,10 +151,6 @@ type Options struct {
 	// nothing; implied off whenever the compiled tier is off. Simulated
 	// results are bit-identical either way.
 	DisableEpoch bool
-	// Horizon caps epoch windows at that many simulated cycles (0 =
-	// unbounded, bounded only by the proven horizon; 1 degenerates to
-	// per-cycle stepping). Results are bit-identical at any cap.
-	Horizon uint64
 	// Faults, when non-nil, arms seeded timing perturbations (see
 	// FaultOptions). Requires Alewife; perfect memory has no network to
 	// perturb.
@@ -168,11 +164,6 @@ type Options struct {
 	// DeadlockWindow overrides the watchdog's no-retirement window in
 	// cycles (0 = the 3M default).
 	DeadlockWindow uint64
-	// Shards splits the simulated machine's nodes across that many host
-	// goroutines (conservative parallel discrete-event simulation).
-	// Results are bit-identical at any shard count; <= 1 keeps the
-	// sequential loop. Forced to 1 under Reference or Check.
-	Shards int
 	// Serve, when non-empty, starts the live introspection server
 	// (internal/obs) on that host:port (":0" picks a free port) for the
 	// duration of the run: /progress, /counters, /metrics (Prometheus),
@@ -409,7 +400,6 @@ func runServed(m *sim.Machine, o Options) (sim.Result, error) {
 				Instructions: stats.Instructions,
 				Utilization:  stats.Utilization(),
 				Nodes:        len(m.Nodes),
-				Shards:       m.Partition().Shards(),
 			}
 		},
 		Counters: reg.Snapshot,
@@ -491,11 +481,9 @@ func (o Options) build() (*sim.Machine, *isa.Program, error) {
 		DisableCompile:     o.DisableCompile || o.Reference,
 		CompileThreshold:   o.CompileThreshold,
 		DisableEpoch:       o.DisableEpoch,
-		Horizon:            o.Horizon,
 		Faults:             o.Faults,
 		Check:              o.Check,
 		DeadlockWindow:     o.DeadlockWindow,
-		Shards:             o.Shards,
 		SabotageCycle:      o.SabotageCycle,
 	})
 	if err != nil {
@@ -584,8 +572,8 @@ func packageResult(m *sim.Machine, res sim.Result, start time.Time) Result {
 // machine state — so Options fields that describe what to run
 // (Processors, Machine, Alewife, Faults, memory and cycle budgets) are
 // ignored; host-side fields still apply: Output, tier selection
-// (Reference, DisableCompile, DisableEpoch, CompileThreshold,
-// Horizon), Shards, Check, Trace, Serve, and the Checkpoint* fields
+// (Reference, DisableCompile, DisableEpoch, CompileThreshold), Check,
+// Trace, Serve, and the Checkpoint* fields
 // (resuming a checkpointed run keeps checkpointing). The resumed run
 // reaches a final state bit-identical to the uninterrupted original.
 func Restore(image []byte, o Options) (Result, error) {
@@ -596,8 +584,6 @@ func Restore(image []byte, o Options) (Result, error) {
 		DisableCompile:   o.DisableCompile || o.Reference,
 		DisableEpoch:     o.DisableEpoch,
 		CompileThreshold: o.CompileThreshold,
-		Horizon:          o.Horizon,
-		Shards:           o.Shards,
 		Check:            o.Check,
 	}
 	if t := o.Trace; t != nil {

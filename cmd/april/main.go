@@ -8,9 +8,9 @@
 //	april -n 8 examples/progs/fib.mt
 //	april -n 16 -lazy -machine april-custom prog.mt
 //	april -n 8 -alewife -stats prog.mt
-//	april -n 256 -alewife -shards 4 prog.mt
+//	april -n 256 -alewife -mem 2048 prog.mt
 //	april -n 8 -alewife -trace trace.json -timeline util.csv prog.mt
-//	april -n 64 -alewife -shards 2 -serve :8080 prog.mt
+//	april -n 64 -alewife -serve :8080 prog.mt
 //	april -n 8 -alewife -faults -fault-seed 3 -check prog.mt
 //	april -n 8 -alewife -check -autopsy prog.mt
 //	april -interp prog.mt           # reference interpreter
@@ -45,13 +45,11 @@ func main() {
 		dis              = flag.Bool("S", false, "print the compiled assembly listing and exit")
 		asm              = flag.Bool("asm", false, "treat the input as raw APRIL assembly instead of Mul-T")
 		cycles           = flag.Uint64("max-cycles", 0, "simulation cycle budget (0 = default)")
-		memMB            = flag.Int("mem", 0, "simulated physical memory in MiB (0 = default 256)")
+		memMB            = flag.Int("mem", 0, "simulated physical memory in MiB, 0..4095 (0 = default 256)")
 		ref              = flag.Bool("reference", false, "run the simulator's oracle paths (per-cycle loop, switch interpreter); results are bit-identical, only slower")
 		compile          = flag.Bool("compile", true, "enable the compiled execution tier (profile-guided basic-block superinstructions); results are bit-identical on or off, only host speed changes")
 		compileThreshold = flag.Int("compile-threshold", 0, "block executions before translation (0 = default 8)")
 		epoch            = flag.Bool("epoch", true, "enable epoch execution (multi-node lockstep windows across provably safe horizons); results are bit-identical on or off, only host speed changes")
-		horizon          = flag.Uint64("horizon", 0, "cap epoch windows at this many simulated cycles (0 = unbounded, 1 = per-cycle stepping); results are bit-identical at any cap")
-		shards           = flag.Int("shards", 1, "split the simulated machine across this many host goroutines; results are bit-identical at any shard count (<= 1 keeps the sequential loop)")
 		serve            = flag.String("serve", "", "serve live run introspection on this host:port (e.g. :8080; /progress, /counters, /metrics, /timeline, /trace); observation-only")
 
 		faults    = flag.Bool("faults", false, "arm seeded timing perturbations (requires -alewife): hop jitter, transient link stalls, delayed directory replies; answers are unaffected, cycle counts shift")
@@ -71,9 +69,16 @@ func main() {
 		restore   = flag.String("restore", "", "resume from a checkpoint image instead of compiling a program; machine-defining flags are ignored (the image is self-contained), host-side flags still apply")
 		bisect    = flag.String("bisect", "", "bisect the checkpoint directory for the first invariant-violating cycle and print its autopsy")
 		sabotage  = flag.Uint64("sabotage", 0, "deliberately corrupt scheduler state at this cycle (deterministic invariant violation; checkpoint/bisect test hook)")
-		statsJSON = flag.Bool("stats-json", false, "print the simulated run statistics as one JSON object (host-side perf excluded; stable across tiers, shards, and restores)")
+		statsJSON = flag.Bool("stats-json", false, "print the simulated run statistics as one JSON object (host-side perf excluded; stable across tiers and restores)")
 	)
 	flag.Parse()
+
+	memBytes, err := memoryBytes(*memMB)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "april:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *bisect != "" {
 		if flag.NArg() != 0 {
@@ -93,7 +98,6 @@ func main() {
 	}
 
 	var src string
-	var err error
 	if *restore != "" {
 		if flag.NArg() != 0 {
 			fatal(fmt.Errorf("-restore takes no program argument"))
@@ -126,14 +130,12 @@ func main() {
 		Sequential:  *seq,
 		Output:      os.Stdout,
 		MaxCycles:   *cycles,
-		MemoryBytes: uint32(*memMB) << 20,
+		MemoryBytes: memBytes,
 		Reference:   *ref,
-		Shards:      *shards,
 
 		DisableCompile:   !*compile,
 		CompileThreshold: *compileThreshold,
 		DisableEpoch:     !*epoch,
-		Horizon:          *horizon,
 
 		CheckpointEvery: *ckptEvery,
 		CheckpointDir:   *ckptDir,
@@ -241,6 +243,16 @@ func main() {
 			fmt.Printf("cache-miss traps:  %d\n", res.CacheMissTraps)
 		}
 	}
+}
+
+// memoryBytes converts the -mem flag to a byte count. Simulated memory
+// is addressed with 32 bits, so 4095 MiB is the largest size that fits;
+// anything outside 0..4095 is a usage error rather than a silent wrap.
+func memoryBytes(mb int) (uint32, error) {
+	if mb < 0 || mb > 4095 {
+		return 0, fmt.Errorf("-mem %d out of range: want 0..4095 MiB", mb)
+	}
+	return uint32(mb) << 20, nil
 }
 
 func readSource(path string) (string, error) {

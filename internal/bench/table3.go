@@ -47,12 +47,6 @@ type Table3Config struct {
 	// results are identical at any worker count.
 	Workers int
 
-	// Shards runs every machine in the grid with that many simulation
-	// shards (sim.Config.Shards); results are bit-identical at any
-	// value. The effective worker count is budgeted so that
-	// workers * shards never exceeds GOMAXPROCS (harness.Budget).
-	Shards int
-
 	// Naive forces every machine onto the reference per-cycle stepping
 	// loop and opcode-switch interpreter (sim.Config.DisableFastForward
 	// + DisablePredecode) — the A side of the before/after throughput
@@ -70,11 +64,9 @@ type Table3Config struct {
 	CompileThreshold int
 
 	// NoEpoch turns off the epoch engine (sim.Config.DisableEpoch) —
-	// multi-node lockstep windows through the compiled tier — and
-	// Horizon caps its windows in cycles (sim.Config.Horizon; 0 =
-	// unbounded). Results are bit-identical at any setting.
+	// multi-node lockstep windows through the compiled tier. Results
+	// are bit-identical with it on or off.
 	NoEpoch bool
-	Horizon uint64
 
 	// Perf, when non-nil, receives the whole grid's aggregate host-side
 	// throughput (simulated cycles and instructions over the grid's
@@ -107,50 +99,10 @@ type RunStats struct {
 	// translation. Maintained identically by all three execution tiers.
 	Kinds map[string]uint64 `json:"kinds,omitempty"`
 
-	// CrossShardMessages and Shard appear only for sharded runs:
-	// coherence traffic that crossed a shard boundary, and the PDES
-	// loop's host-side telemetry.
-	CrossShardMessages uint64         `json:"cross_shard_messages,omitempty"`
-	Shard              *ShardOverhead `json:"shard,omitempty"`
-
 	// Epoch appears when the epoch engine committed at least one
 	// window: multi-node lockstep execution through the compiled tier
-	// (sim's epoch.go). Purely observational, like Shard.
+	// (sim's epoch.go). Purely observational.
 	Epoch *EpochOverhead `json:"epoch,omitempty"`
-}
-
-// ShardOverhead is the sharded run loop's host-side telemetry for one
-// run: how cycles were classified and executed, where the wall time
-// went, and how evenly the shards were loaded. Purely observational —
-// the simulated results are bit-identical with or without sharding.
-type ShardOverhead struct {
-	Shards           int    `json:"shards"`
-	ParallelCycles   uint64 `json:"parallel_cycles"`
-	SequentialCycles uint64 `json:"sequential_cycles"`
-	FallbackStop     uint64 `json:"fallback_stop"`
-	FallbackSmall    uint64 `json:"fallback_small"`
-	FallbackEpoch    uint64 `json:"fallback_epoch"`
-	Barriers         uint64 `json:"barriers"`
-	LocalSteps       uint64 `json:"local_steps"`
-	GlobalSteps      uint64 `json:"global_steps"`
-	StopSteps        uint64 `json:"stop_steps"`
-	BarrierWaitNS    uint64 `json:"barrier_wait_ns"`
-	LoopWallNS       uint64 `json:"loop_wall_ns"`
-
-	// BarrierWaitFraction is barrier wait over the sharded loop's wall
-	// time: the coordinator's cost of waiting for straggler shards.
-	BarrierWaitFraction float64 `json:"barrier_wait_fraction"`
-	// FallbackPct is the percentage of executed cycles that ran on the
-	// sequential fallback path instead of the parallel one.
-	FallbackPct float64 `json:"fallback_pct"`
-	// BarriersPer1k is worker-pool joins per 1000 simulated cycles —
-	// the bulk-synchronous overhead epoch batches amortize away.
-	BarriersPer1k float64 `json:"barriers_per_1k_cycles"`
-
-	// Per-shard load: executed steps and busy wall time, indexed by
-	// shard.
-	ShardLocalSteps []uint64 `json:"shard_local_steps"`
-	ShardBusyNS     []uint64 `json:"shard_busy_ns"`
 }
 
 // EpochOverhead is the epoch engine's telemetry for one run: lockstep
@@ -196,43 +148,6 @@ func epochOverhead(m *sim.Machine) *EpochOverhead {
 	return eo
 }
 
-// shardOverhead summarizes m's PDES telemetry; nil for unsharded runs.
-func shardOverhead(m *sim.Machine) *ShardOverhead {
-	tel := m.ShardTelemetry()
-	if len(tel) <= 1 {
-		return nil
-	}
-	p := m.PDES()
-	so := &ShardOverhead{
-		Shards:           len(tel),
-		ParallelCycles:   p.ParallelCycles,
-		SequentialCycles: p.SequentialCycles,
-		FallbackStop:     p.FallbackStop,
-		FallbackSmall:    p.FallbackSmall,
-		FallbackEpoch:    p.FallbackEpoch,
-		Barriers:         p.Barriers,
-		LocalSteps:       p.LocalSteps,
-		GlobalSteps:      p.GlobalSteps,
-		StopSteps:        p.StopSteps,
-		BarrierWaitNS:    p.BarrierWaitNS,
-		LoopWallNS:       p.LoopWallNS,
-	}
-	if p.LoopWallNS > 0 {
-		so.BarrierWaitFraction = float64(p.BarrierWaitNS) / float64(p.LoopWallNS)
-	}
-	if total := p.ParallelCycles + p.SequentialCycles; total > 0 {
-		so.FallbackPct = 100 * float64(p.SequentialCycles) / float64(total)
-	}
-	if now := m.Now(); now > 0 {
-		so.BarriersPer1k = 1000 * float64(p.Barriers) / float64(now)
-	}
-	for _, t := range tel {
-		so.ShardLocalSteps = append(so.ShardLocalSteps, t.LocalSteps)
-		so.ShardBusyNS = append(so.ShardBusyNS, t.BusyNS)
-	}
-	return so
-}
-
 // DefaultTable3Config mirrors the paper's configurations.
 func DefaultTable3Config() Table3Config {
 	return Table3Config{
@@ -248,7 +163,6 @@ type runOut struct {
 	result string
 	perf   proc.Perf
 	stats  RunStats
-	cross  uint64 // cross-shard messages, when the run was sharded
 }
 
 // runOnce compiles and runs src on a fresh machine. naive selects the
@@ -259,9 +173,9 @@ type runOut struct {
 func runOnce(src string, mode mult.Mode, prof rts.Profile, lazy bool, nodes int, cfg *Table3Config) (runOut, error) {
 	start := time.Now()
 	m, err := sim.New(sim.Config{Nodes: nodes, Profile: prof, Lazy: lazy,
-		DisableFastForward: cfg.Naive, DisablePredecode: cfg.Naive, Shards: cfg.Shards,
+		DisableFastForward: cfg.Naive, DisablePredecode: cfg.Naive,
 		DisableCompile: cfg.NoCompile, CompileThreshold: cfg.CompileThreshold,
-		DisableEpoch: cfg.NoEpoch, Horizon: cfg.Horizon})
+		DisableEpoch: cfg.NoEpoch})
 	naive := cfg.Naive
 	if err != nil {
 		return runOut{}, err
@@ -294,15 +208,12 @@ func runOnce(src string, mode mult.Mode, prof rts.Profile, lazy bool, nodes int,
 		rs.PerNode = append(rs.PerNode, n.Proc.Stats)
 		rs.ContextSwitches += n.Proc.Engine.Switches
 	}
-	rs.CrossShardMessages = m.CrossShardMessages()
-	rs.Shard = shardOverhead(m)
 	rs.Epoch = epochOverhead(m)
 	return runOut{
 		cycles: res.Cycles,
 		result: res.Formatted,
 		perf:   perf,
 		stats:  rs,
-		cross:  rs.CrossShardMessages,
 	}, nil
 }
 
@@ -367,12 +278,10 @@ type rowPlan struct {
 // and the parallel runs at each processor count, all normalized to
 // T seq.
 //
-// Every measurement is an independent machine (optionally itself
-// sharded via cfg.Shards), so the whole grid is flattened into one run
-// list and fanned across host cores by the harness under the
-// workers-times-shards budget; rows are assembled (and cross-checked)
-// in grid order afterwards, making the output independent of worker
-// count.
+// Every measurement is an independent machine, so the whole grid is
+// flattened into one run list and fanned across host cores by the
+// harness; rows are assembled (and cross-checked) in grid order
+// afterwards, making the output independent of worker count.
 func Table3(cfg Table3Config) ([]Row, error) {
 	start := time.Now()
 	var (
@@ -422,7 +331,7 @@ func Table3(cfg Table3Config) ([]Row, error) {
 		}
 	}
 
-	outs, occ, err := harness.MapOccupancy(harness.Budget(cfg.Workers, cfg.Shards), len(specs), func(i int) (runOut, error) {
+	outs, occ, err := harness.MapOccupancy(harness.Workers(cfg.Workers), len(specs), func(i int) (runOut, error) {
 		s := specs[i]
 		out, err := runOnce(s.src, s.mode, s.prof, s.lazy, s.nodes, &cfg)
 		if err != nil {

@@ -3,10 +3,7 @@
 // build a machine, run it, report. The harness fans a list of such runs
 // over a bounded worker pool and commits results in submission order,
 // so the output of an experiment grid is byte-identical whether it ran
-// on one core or sixteen. A run may additionally shard its machine
-// across goroutines (sim.Config.Shards); nested parallelism like that
-// must be budgeted with Budget so the product of sweep workers and
-// per-run shards never oversubscribes the host.
+// on one core or sixteen.
 package harness
 
 import (
@@ -22,28 +19,6 @@ func Workers(n int) int {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// Budget resolves a sweep's worker count when each run is itself a
-// sharded simulation occupying shards goroutines: the product
-// workers*shards is capped at GOMAXPROCS so the sweep and the sharded
-// run loops never oversubscribe the host, while always granting at
-// least one worker so sweeps whose runs alone saturate the machine
-// still make progress (their shard goroutines time-slice). workers
-// follows the Workers convention (<= 0 means one per core); shards
-// below one is treated as an unsharded run.
-func Budget(workers, shards int) int {
-	workers = Workers(workers)
-	if shards < 1 {
-		shards = 1
-	}
-	if cores := runtime.GOMAXPROCS(0); workers*shards > cores {
-		workers = cores / shards
-		if workers < 1 {
-			workers = 1
-		}
-	}
-	return workers
 }
 
 // Occupancy reports how a pool's workers spent a sweep: per-worker run

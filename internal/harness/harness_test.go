@@ -3,7 +3,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -90,37 +89,6 @@ func TestWorkersDefault(t *testing.T) {
 	}
 	if Workers(0) <= 0 || Workers(-1) <= 0 {
 		t.Fatal("defaulted worker count not positive")
-	}
-}
-
-// TestShardBudget pins the nested-parallelism contract: sweep workers
-// times per-run shards never exceeds GOMAXPROCS, but a sweep always
-// gets at least one worker even when a single sharded run already
-// saturates the host. GOMAXPROCS is pinned so the expectations don't
-// depend on the machine running the tests.
-func TestShardBudget(t *testing.T) {
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
-
-	for _, tc := range []struct {
-		workers, shards, want int
-	}{
-		{0, 1, 8},  // default workers, unsharded: one per core
-		{0, 0, 8},  // shards <= 0 treated as unsharded
-		{0, 2, 4},  // default workers halved by 2-way sharding
-		{0, 3, 2},  // floor(8/3)
-		{0, 8, 1},  // one run saturates the host
-		{0, 16, 1}, // oversized shard count still gets one worker
-		{3, 2, 3},  // explicit request within budget is honored
-		{6, 2, 4},  // explicit request over budget is clamped
-		{2, 5, 1},  // clamp can go below the explicit request
-	} {
-		if got := Budget(tc.workers, tc.shards); got != tc.want {
-			t.Errorf("Budget(%d, %d) = %d, want %d", tc.workers, tc.shards, got, tc.want)
-		}
-		if got := Budget(tc.workers, tc.shards); got*max(tc.shards, 1) > 8 && got != 1 {
-			t.Errorf("Budget(%d, %d) = %d oversubscribes 8 cores", tc.workers, tc.shards, got)
-		}
 	}
 }
 

@@ -13,27 +13,27 @@ import (
 // node 2 before node 10, which a string sort would invert).
 func TestObsPrometheusExposition(t *testing.T) {
 	snap := map[string]map[string]uint64{
-		"scheduler":   {"steals": 7},
-		"node2.proc":  {"instructions": 22},
-		"node10.proc": {"instructions": 1010},
-		"shard0.pdes": {"local_steps": 40, "nodes": 32},
-		"shard1.pdes": {"local_steps": 41, "nodes": 32},
-		"network":     {"in_flight": 3, "messages": 9},
+		"scheduler":     {"steals": 7},
+		"node2.proc":    {"instructions": 22},
+		"node10.proc":   {"instructions": 1010},
+		"node2.memory":  {"cache_hits": 40, "outstanding_remote": 2},
+		"node10.memory": {"cache_hits": 41, "outstanding_remote": 0},
+		"network":       {"in_flight": 3, "messages": 9},
 	}
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	want := `# TYPE april_network_in_flight gauge
+	want := `# TYPE april_memory_cache_hits counter
+april_memory_cache_hits{node="2"} 40
+april_memory_cache_hits{node="10"} 41
+# TYPE april_memory_outstanding_remote gauge
+april_memory_outstanding_remote{node="2"} 2
+april_memory_outstanding_remote{node="10"} 0
+# TYPE april_network_in_flight gauge
 april_network_in_flight 3
 # TYPE april_network_messages counter
 april_network_messages 9
-# TYPE april_pdes_local_steps counter
-april_pdes_local_steps{shard="0"} 40
-april_pdes_local_steps{shard="1"} 41
-# TYPE april_pdes_nodes gauge
-april_pdes_nodes{shard="0"} 32
-april_pdes_nodes{shard="1"} 32
 # TYPE april_proc_instructions counter
 april_proc_instructions{node="2"} 22
 april_proc_instructions{node="10"} 1010

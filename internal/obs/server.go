@@ -40,7 +40,6 @@ type Progress struct {
 	Instructions uint64  `json:"instructions"`
 	Utilization  float64 `json:"utilization"`
 	Nodes        int     `json:"nodes"`
-	Shards       int     `json:"shards"`
 
 	Done   bool   `json:"done"`
 	Result string `json:"result,omitempty"`

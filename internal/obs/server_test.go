@@ -46,7 +46,7 @@ func TestObsServerProgress(t *testing.T) {
 	s, url := scripted(t, Hooks{
 		Progress: func() Progress {
 			return Progress{Cycle: 500_000, BudgetCycles: 1_000_000,
-				Instructions: 123, Utilization: 0.75, Nodes: 64, Shards: 2}
+				Instructions: 123, Utilization: 0.75, Nodes: 64}
 		},
 		Counters: func() map[string]map[string]uint64 { return nil },
 	})
@@ -55,7 +55,7 @@ func TestObsServerProgress(t *testing.T) {
 	if err := json.Unmarshal(get(t, url+"/progress"), &p); err != nil {
 		t.Fatal(err)
 	}
-	if p.Cycle != 500_000 || p.Nodes != 64 || p.Shards != 2 || p.Done {
+	if p.Cycle != 500_000 || p.Nodes != 64 || p.Done {
 		t.Errorf("unexpected progress: %+v", p)
 	}
 	if p.WallSeconds <= 0 {
@@ -79,10 +79,10 @@ func TestObsServerProgress(t *testing.T) {
 
 func TestObsServerCountersAndMetrics(t *testing.T) {
 	snap := map[string]map[string]uint64{
-		"pdes":        {"parallel_cycles": 9000, "fallback_stop": 3},
-		"shard0.pdes": {"local_steps": 100},
-		"shard1.pdes": {"local_steps": 101},
-		"network":     {"cross_shard_messages": 77},
+		"epoch":      {"windows": 9000, "fallbacks": 3},
+		"node0.proc": {"instructions": 100},
+		"node1.proc": {"instructions": 101},
+		"network":    {"messages": 77},
 	}
 	_, url := scripted(t, Hooks{
 		Progress: func() Progress { return Progress{} },
@@ -93,16 +93,16 @@ func TestObsServerCountersAndMetrics(t *testing.T) {
 	if err := json.Unmarshal(get(t, url+"/counters"), &got); err != nil {
 		t.Fatal(err)
 	}
-	if got["shard1.pdes"]["local_steps"] != 101 || got["pdes"]["parallel_cycles"] != 9000 {
+	if got["node1.proc"]["instructions"] != 101 || got["epoch"]["windows"] != 9000 {
 		t.Errorf("counters snapshot mismatch: %v", got)
 	}
 
 	metrics := string(get(t, url+"/metrics"))
 	for _, want := range []string{
-		`april_pdes_local_steps{shard="0"} 100`,
-		`april_pdes_local_steps{shard="1"} 101`,
-		"april_pdes_parallel_cycles 9000",
-		"april_network_cross_shard_messages 77",
+		`april_proc_instructions{node="0"} 100`,
+		`april_proc_instructions{node="1"} 101`,
+		"april_epoch_windows 9000",
+		"april_network_messages 77",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("missing %q in /metrics:\n%s", want, metrics)

@@ -87,14 +87,12 @@ type netFabric struct {
 	pendBuf   []int              // PendingNodes scratch, reused
 	delivBuf  []*network.Message // Deliveries scratch, reused
 
-	// Sharded-tick support (see shard.go). part is non-nil when the
+	// Sharded-tick support (see shard.go). stages is non-nil when the
 	// machine shards this fabric; staging redirects flushOutbox's
 	// network sends into per-shard buffers (drained by the coordinator
 	// at the horizon barrier) while the controllers run in parallel.
-	part      *network.Partition
-	stages    []*fabricStage
-	staging   bool
-	crossMsgs uint64 // messages sent across a shard boundary
+	stages  []*fabricStage
+	staging bool
 
 	// reference selects the pre-overhaul cost profile: tick and
 	// nextEvent scan every controller each cycle instead of the dirty
@@ -171,8 +169,6 @@ func (m *Machine) initAlewife() error {
 		check:     m.checker,
 	}
 	if s := m.part.Shards(); s > 1 {
-		part := m.part
-		f.part = &part
 		f.stages = make([]*fabricStage, s)
 		for i := range f.stages {
 			f.stages[i] = &fabricStage{}
@@ -473,9 +469,6 @@ func (c *cacheCtl) flushOutbox() {
 			st := f.stages[f.shardOf[c.node]]
 			st.sends = append(st.sends, stagedSend{src: c.node, dst: om.dst, msg: om.msg})
 			continue
-		}
-		if f.part != nil && f.part.Cross(c.node, om.dst) {
-			f.crossMsgs++
 		}
 		nm := f.net.Alloc()
 		nm.Src = c.node

@@ -203,3 +203,27 @@ func (m *Machine) epochFinishCycle(steps []int, si int) error {
 // EpochTelemetry returns the epoch engine's counters (all-zero when
 // the engine is disarmed). Read while the machine is quiescent.
 func (m *Machine) EpochTelemetry() EpochStats { return m.epochTel }
+
+// EpochStats aggregates the epoch engine's behavior over a run: how
+// often multi-node lockstep windows opened, how many cycles and
+// node-steps they absorbed, and how they ended. All-zero when the
+// engine is disarmed (DisableEpoch or anything disarming the compiled
+// tier). Pure host-side observation: simulated results are
+// bit-identical with the engine on or off.
+type EpochStats struct {
+	Windows uint64 // windows that executed at least one op
+	Cycles  uint64 // complete simulated cycles committed inside windows
+	Ops     uint64 // node-steps executed inside windows
+	// PartialOps counts the steps of partially completed cycles (the
+	// prefix executed before a mid-epoch stop); Fallbacks counts the
+	// windows an epoch-unsafe op stopped (the rest ended at their
+	// horizon bound).
+	PartialOps uint64
+	Fallbacks  uint64
+	// LenHist is the committed-window-length histogram in power-of-two
+	// buckets: LenHist[b] counts windows whose complete-cycle count has
+	// bit length b — bucket 0 is fc=0 (only a partial cycle committed),
+	// bucket 1 is fc=1, bucket 2 is 2-3, bucket 3 is 4-7, and so on;
+	// the last bucket absorbs everything longer.
+	LenHist [17]uint64
+}

@@ -57,7 +57,10 @@ type Config struct {
 	// sequential loop; values above Nodes are clamped. Forced to 1 when
 	// DisableFastForward (the oracle loop is the point of that flag) or
 	// Check (the invariant checkers read cross-node state on every
-	// transition, which would race across shards) is set.
+	// transition, which would race across shards) is set. No CLI or
+	// facade option sets it: the tier never beat one shard on the torus
+	// (one-cycle lookahead, one barrier per simulated cycle) and is
+	// kept only until its differential tests can be retired.
 	Shards int
 
 	// ShardBatch is the minimum number of same-cycle work items (node
@@ -114,8 +117,9 @@ type Config struct {
 	// next wake, network event, sampler boundary, or watchdog
 	// watermark), and k >= 1 additionally caps every window at k
 	// cycles. 1 therefore degenerates to per-cycle stepping (a 1-cycle
-	// window cannot beat the per-cycle path and is never opened), which
-	// is the -horizon sweep's baseline point.
+	// window cannot beat the per-cycle path and is never opened). A
+	// test seam: the epoch differential tests sweep it to put window
+	// ends at every alignment.
 	Horizon uint64
 
 	// Faults, when non-nil, arms the seeded perturbation plan: bounded
@@ -184,7 +188,7 @@ type Machine struct {
 	// node; the run loops then try fusedStep (compile.go) whenever a
 	// cycle has exactly one stepper. epochOn additionally arms the
 	// multi-node epoch engine (epoch.go) for cycles with two or more
-	// steppers; epochTel is its telemetry (see telemetry.go).
+	// steppers; epochTel is its telemetry (see EpochStats).
 	compileOn bool
 	epochOn   bool
 	epochTel  EpochStats
@@ -218,11 +222,6 @@ type Machine struct {
 	part    network.Partition
 	shardOf []int32
 	shr     *shardRunner
-
-	// Host-side PDES telemetry (see telemetry.go). shardTel has one
-	// entry per shard; both stay zero on unsharded machines.
-	pdes     PDESStats
-	shardTel []ShardTelemetry
 
 	// lastProgress is the cycle of the most recent instruction
 	// retirement anywhere in the machine — the deadlock watchdog's
@@ -314,7 +313,6 @@ func New(cfg Config) (*Machine, error) {
 			m.shardOf[i] = int32(s)
 		}
 	}
-	m.shardTel = make([]ShardTelemetry, m.part.Shards())
 
 	if cfg.Alewife != nil {
 		if err := m.initAlewife(); err != nil {

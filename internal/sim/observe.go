@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"april/internal/network"
 	"april/internal/proc"
 	"april/internal/trace"
 )
@@ -205,58 +204,8 @@ func (m *Machine) CounterRegistry() *trace.Registry {
 				"max_latency":   s.MaxLatency,
 				"hops":          s.Hops,
 				"in_flight":     uint64(net.InFlight()),
-				// Messages that crossed a shard boundary (0 unsharded).
-				"cross_shard_messages": m.CrossShardMessages(),
 			}
 		})
-	}
-	if m.part.Shards() > 1 {
-		// Host-side PDES telemetry (telemetry.go): how the sharded loop
-		// behaved — classifier mix, fallback reasons, barrier wait — and
-		// each shard's share of the parallel phases. Registered only on
-		// sharded machines so unsharded snapshots stay byte-stable.
-		r.Register("pdes", func() map[string]uint64 {
-			p := m.pdes
-			return map[string]uint64{
-				"parallel_cycles":       p.ParallelCycles,
-				"sequential_cycles":     p.SequentialCycles,
-				"fallback_stop":         p.FallbackStop,
-				"fallback_small":        p.FallbackSmall,
-				"fallback_epoch":        p.FallbackEpoch,
-				"barriers":              p.Barriers,
-				"barriers_per_1k":       safePer1k(p.Barriers, m.now),
-				"local_steps":           p.LocalSteps,
-				"global_steps":          p.GlobalSteps,
-				"stop_steps":            p.StopSteps,
-				"barrier_wait_ns":       p.BarrierWaitNS,
-				"loop_wall_ns":          p.LoopWallNS,
-				"fabric_parallel_ticks": p.FabricParallelTicks,
-				"fabric_inline_ticks":   p.FabricInlineTicks,
-			}
-		})
-		for s := 0; s < m.part.Shards(); s++ {
-			s := s
-			lo, hi := m.part.Block(s)
-			nodes := uint64(hi - lo)
-			var lookahead uint64 = 1
-			if m.net != nil {
-				lookahead = network.PartitionLookahead(m.net.net, m.part, s)
-			}
-			r.Register(fmt.Sprintf("shard%d.pdes", s), func() map[string]uint64 {
-				t := m.shardTel[s]
-				return map[string]uint64{
-					"nodes": nodes,
-					// Static per-slab lookahead: cycles before this
-					// shard's sends become visible outside it
-					// (network.PartitionLookahead).
-					"lookahead":      lookahead,
-					"local_steps":    t.LocalSteps,
-					"busy_ns":        t.BusyNS,
-					"fabric_handled": t.FabricHandled,
-					"fabric_flushes": t.FabricFlushes,
-				}
-			})
-		}
 	}
 	r.Register("machine", func() map[string]uint64 {
 		s := m.TotalStats()
@@ -276,13 +225,4 @@ func (m *Machine) CounterRegistry() *trace.Registry {
 		return out
 	})
 	return r
-}
-
-// safePer1k scales a counter to events per 1000 simulated cycles,
-// guarding the cycle-0 snapshot.
-func safePer1k(count, cycles uint64) uint64 {
-	if cycles == 0 {
-		return 0
-	}
-	return count * 1000 / cycles
 }

@@ -59,7 +59,6 @@ package sim
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"april/internal/abi"
 	"april/internal/core"
@@ -307,22 +306,16 @@ func (r *shardRunner) stop() {
 // parallel runs fn(s) for every shard — shard 0 inline, the rest on the
 // workers — and joins. Worker panics are captured and rethrown on the
 // coordinator after the join, lowest shard first, so the run-loop's
-// recover barrier (runGuarded) sees them on its own goroutine. The
-// stretch between the coordinator finishing its own inline shard and
-// the last worker checking in is pure synchronization overhead; it
-// accrues into PDESStats.BarrierWaitNS (host clock, observation only).
+// recover barrier (runGuarded) sees them on its own goroutine.
 func (r *shardRunner) parallel(fn func(int)) {
-	r.m.pdes.Barriers++
 	n := len(r.shards)
 	for s := 1; s < n; s++ {
 		r.jobs[s-1] <- fn
 	}
 	r.run(0, fn)
-	wait := time.Now()
 	for s := 1; s < n; s++ {
 		<-r.done
 	}
-	r.m.pdes.BarrierWaitNS += uint64(time.Since(wait))
 	for s := range r.shards {
 		if p := r.shards[s].pan; p != nil {
 			r.shards[s].pan = nil
@@ -332,11 +325,7 @@ func (r *shardRunner) parallel(fn func(int)) {
 }
 
 func (r *shardRunner) run(s int, fn func(int)) {
-	start := time.Now()
 	defer func() {
-		// Busy accrual first: a panicking phase still spent the time,
-		// and the write targets this goroutine's own telemetry slot.
-		r.m.shardTel[s].BusyNS += uint64(time.Since(start))
 		if p := recover(); p != nil {
 			r.shards[s].pan = p
 		}
@@ -350,7 +339,6 @@ func (r *shardRunner) run(s int, fn func(int)) {
 func (r *shardRunner) stepShard(s int) {
 	sh := &r.shards[s]
 	m := r.m
-	m.shardTel[s].LocalSteps += uint64(len(sh.steps))
 	sh.keep = sh.keep[:0]
 	sh.wakes = sh.wakes[:0]
 	sh.retired = false
@@ -384,8 +372,6 @@ func (m *Machine) runShardedUntil(limit uint64) (hitLimit bool, err error) {
 	r := m.shardRunner()
 	r.start()
 	defer r.stop()
-	loopStart := time.Now()
-	defer func() { m.pdes.LoopWallNS += uint64(time.Since(loopStart)) }()
 	for !m.Sched.MainDone {
 		if m.sampler != nil && m.now >= m.sampler.NextBoundary() {
 			m.sample()
@@ -442,8 +428,6 @@ func (m *Machine) runShardedUntil(limit uint64) (hitLimit bool, err error) {
 				// Mid-epoch fallback: the cycle at m.now holds an
 				// epoch-unsafe op. steps[:si] already stepped; finish the
 				// cycle per-op in reference order (the sequential body).
-				m.pdes.SequentialCycles++
-				m.pdes.FallbackEpoch++
 				if err := m.epochFinishCycle(steps, si); err != nil {
 					return false, err
 				}
@@ -466,13 +450,10 @@ func (m *Machine) runShardedUntil(limit uint64) (hitLimit bool, err error) {
 				sh := &r.shards[m.shardOf[id]]
 				sh.steps = append(sh.steps, id)
 				localTotal++
-				m.pdes.LocalSteps++
 			case classGlobal:
 				r.globals = append(r.globals, id)
-				m.pdes.GlobalSteps++
 			default:
 				sequential = true
-				m.pdes.StopSteps++
 			}
 			if sequential {
 				break
@@ -480,12 +461,6 @@ func (m *Machine) runShardedUntil(limit uint64) (hitLimit bool, err error) {
 		}
 
 		if sequential || localTotal < r.batch {
-			m.pdes.SequentialCycles++
-			if sequential {
-				m.pdes.FallbackStop++
-			} else {
-				m.pdes.FallbackSmall++
-			}
 			// Sequential cycle: byte-for-byte the runFastUntil body,
 			// including the compiled tier's isolated-window fast path
 			// (fusion only ever runs on the coordinating goroutine —
@@ -532,7 +507,6 @@ func (m *Machine) runShardedUntil(limit uint64) (hitLimit bool, err error) {
 		}
 
 		// Phase 1: workers step the LOCAL nodes.
-		m.pdes.ParallelCycles++
 		r.parallel(r.stepFn)
 		for s := range r.shards {
 			sh := &r.shards[s]
@@ -644,7 +618,6 @@ func (f *netFabric) tickSharded(r *shardRunner) {
 		// Small cycle: inline, identical to the sequential tick body.
 		// (The invariant checkers force one shard, so the sequential
 		// tick's checkPool wrapper has nothing to do here.)
-		f.m.pdes.FabricInlineTicks++
 		for _, node := range f.pendBuf {
 			f.drainInto(node, f.ctls[node])
 		}
@@ -666,7 +639,6 @@ func (f *netFabric) tickSharded(r *shardRunner) {
 		st.msgs = f.net.Deliveries(node, st.msgs)
 		st.drains = append(st.drains, drainSpan{node: node, lo: lo, hi: len(st.msgs)})
 	}
-	f.m.pdes.FabricParallelTicks++
 	f.staging = true
 	r.parallel(r.tickFn)
 	f.staging = false
@@ -678,9 +650,6 @@ func (f *netFabric) tickSharded(r *shardRunner) {
 	for _, st := range f.stages {
 		for i := range st.sends {
 			snd := &st.sends[i]
-			if f.part.Cross(snd.src, snd.dst) {
-				f.crossMsgs++
-			}
 			nm := f.net.Alloc()
 			nm.Src = snd.src
 			nm.Dst = snd.dst
@@ -697,16 +666,13 @@ func (f *netFabric) tickSharded(r *shardRunner) {
 // to the shard's own controllers, rings, and stage buffers.
 func (f *netFabric) tickShard(s int) {
 	st := f.stages[s]
-	tel := &f.m.shardTel[s]
 	for _, d := range st.drains {
 		ctl := f.ctls[d.node]
-		tel.FabricHandled += uint64(d.hi - d.lo)
 		for _, nm := range st.msgs[d.lo:d.hi] {
 			ctl.handle(nm.Payload.Coh)
 		}
 	}
 	dirty := f.gatherShardDirty(s)
-	tel.FabricFlushes += uint64(len(dirty))
 	for _, id := range dirty {
 		ctl := f.ctls[id]
 		ctl.processRecalls()
@@ -728,14 +694,4 @@ func (f *netFabric) gatherShardDirty(s int) []int {
 	}
 	st.ids = ids
 	return ids
-}
-
-// CrossShardMessages counts coherence messages sent between nodes in
-// different shards — the boundary traffic the conservative lookahead
-// window covers. Zero for unsharded or perfect-memory machines.
-func (m *Machine) CrossShardMessages() uint64 {
-	if m.net == nil {
-		return 0
-	}
-	return m.net.crossMsgs
 }

@@ -35,7 +35,6 @@ type shardConfig struct {
 type shardOutcome struct {
 	ffOutcome
 	rings []ringDigest
-	cross uint64
 }
 
 // ringDigest is one node's trace ring reduced to what sharding must
@@ -81,7 +80,7 @@ func runSharded(t *testing.T, src string, cfg shardConfig) shardOutcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := shardOutcome{cross: m.CrossShardMessages()}
+	var out shardOutcome
 	out.cycles = res.Cycles
 	out.value = res.Formatted
 	for _, n := range m.Nodes {

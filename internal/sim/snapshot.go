@@ -29,7 +29,7 @@ package sim
 //   - trace ring contents and sampler rows (host-side flight-recorder
 //     windows; the rings' event counters and the sampler's window
 //     boundary round-trip as cursors, see internal/trace/snapshot.go)
-//   - host telemetry: fused/epoch/PDES counters restart at zero
+//   - host telemetry: fused/epoch counters restart at zero
 //   - the static heap cursor (compile-time state; programs are loaded
 //     from the image, never recompiled into the restored machine)
 
@@ -89,7 +89,6 @@ type RestoreOverrides struct {
 	DisableCompile   bool
 	DisableEpoch     bool
 	CompileThreshold int
-	Horizon          uint64
 	Shards           int
 	ShardBatch       int
 	Check            bool
@@ -121,16 +120,17 @@ func Restore(img []byte, ov RestoreOverrides) (*Machine, error) {
 	cfg.DisableCompile = ov.DisableCompile
 	cfg.DisableEpoch = ov.DisableEpoch
 	cfg.CompileThreshold = ov.CompileThreshold
-	cfg.Horizon = ov.Horizon
 	cfg.Shards = ov.Shards
 	cfg.ShardBatch = ov.ShardBatch
 	cfg.Check = ov.Check
+	// The identity decoded cleanly, so a machine New or Load rejects
+	// means the image itself is corrupt.
 	m, err := New(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("sim: restore: %w", err)
+		return nil, fmt.Errorf("%w: %w", snapshot.ErrCorrupt, err)
 	}
 	if err := m.Load(prog); err != nil {
-		return nil, fmt.Errorf("sim: restore: %w", err)
+		return nil, fmt.Errorf("%w: %w", snapshot.ErrCorrupt, err)
 	}
 	if ov.Trace {
 		m.EnableTracing(0)
@@ -270,6 +270,9 @@ func decodeIdentity(r *snapshot.Reader) (Config, *isa.Program) {
 		r.Corrupt("node count %d out of range", cfg.Nodes)
 		return cfg, nil
 	}
+	if checkImageRoom(r, &cfg); r.Err() != nil {
+		return cfg, nil
+	}
 
 	prog := &isa.Program{Entry: r.U32()}
 	ninst := r.Count("instructions")
@@ -292,6 +295,64 @@ func decodeIdentity(r *snapshot.Reader) (Config, *isa.Program) {
 		r.Corrupt("entry %d outside program of %d instructions", prog.Entry, len(prog.Code))
 	}
 	return cfg, prog
+}
+
+// Floors on what the state encoders write per unit of machine: each
+// task frame (registers, PC, NPC, PSR, thread id), each cache slot
+// (tag, state, dirty bit, LRU stamp), each torus channel (transmit
+// countdown, queue length), and each network node (inbox length).
+const (
+	frameImageBytes   = 4*isa.NumFrameRegs + 4 + 4 + 4 + 8
+	slotImageBytes    = 4 + 1 + 1 + 8
+	channelImageBytes = 8 + 4
+	inboxImageBytes   = 4
+)
+
+// checkImageRoom rejects an identity describing a machine whose state
+// could not fit in the rest of the image. Restore builds the machine
+// before decoding its state, so without this check an image declaring
+// a huge frame count, cache, or torus would allocate all of it before
+// failing. Geometry validity itself is left to New.
+func checkImageRoom(r *snapshot.Reader, cfg *Config) {
+	room := uint64(r.Remaining())
+	perNode := room / uint64(cfg.Nodes)
+	if f := cfg.Profile.Frames; f < 1 || uint64(f) > perNode/frameImageBytes {
+		r.Corrupt("%d nodes of %d task frames do not fit in %d bytes", cfg.Nodes, f, room)
+		return
+	}
+	a := cfg.Alewife
+	if a == nil {
+		return
+	}
+	cc := a.Cache
+	if cc == (cache.Config{}) {
+		cc = cache.DefaultConfig()
+	}
+	if cc.BlockBytes > 0 && uint64(cc.SizeBytes/cc.BlockBytes) > perNode/slotImageBytes {
+		r.Corrupt("%d nodes of %d-byte caches do not fit in %d bytes", cfg.Nodes, cc.SizeBytes, room)
+		return
+	}
+	g := a.Geometry
+	if g.Dim < 1 || g.Radix < 1 {
+		return // zero means fitted to the node count; anything else New rejects
+	}
+	if g.Dim > 64 {
+		// Beyond 64 dimensions a radix of 2 already overflows the node
+		// count, and radix 1 is a single node.
+		r.Corrupt("%d-dimensional network", g.Dim)
+		return
+	}
+	perGeoNode := uint64(inboxImageBytes)
+	if !a.IdealNet {
+		perGeoNode += 2 * uint64(g.Dim) * channelImageBytes
+	}
+	geoNodes := uint64(1)
+	for i := 0; i < g.Dim; i++ {
+		if geoNodes *= uint64(g.Radix); geoNodes > room/perGeoNode {
+			r.Corrupt("network of radix %d and dimension %d does not fit in %d bytes", g.Radix, g.Dim, room)
+			return
+		}
+	}
 }
 
 func encodeProfile(w *snapshot.Writer, p *rts.Profile) {

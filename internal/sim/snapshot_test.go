@@ -51,7 +51,7 @@ func (c snapConfig) simConfig() sim.Config {
 	}
 }
 
-func snapMachine(t *testing.T, src string, cfg sim.Config) *sim.Machine {
+func snapMachine(t testing.TB, src string, cfg sim.Config) *sim.Machine {
 	t.Helper()
 	m, err := sim.New(cfg)
 	if err != nil {
@@ -177,12 +177,12 @@ func TestSnapshotCrossTierRestore(t *testing.T) {
 	want := finishOutcome(t, m)
 
 	tiers := map[string]sim.RestoreOverrides{
-		"compiled":   {},
-		"reference":  {Reference: true},
-		"predecode":  {DisableCompile: true},
-		"no-epoch":   {DisableEpoch: true},
-		"sharded":    {Shards: 4, ShardBatch: 1},
-		"checked":    {Check: true},
+		"compiled":  {},
+		"reference": {Reference: true},
+		"predecode": {DisableCompile: true},
+		"no-epoch":  {DisableEpoch: true},
+		"sharded":   {Shards: 4, ShardBatch: 1},
+		"checked":   {Check: true},
 	}
 	for name, ov := range tiers {
 		t.Run(name, func(t *testing.T) {
@@ -231,7 +231,7 @@ func TestSnapshotRepeatedWindows(t *testing.T) {
 
 // TestSnapshotConfigHash: images from the same run carry the same
 // identity hash; changing the machine-defining configuration or the
-// program changes it; host knobs (shards) do not.
+// program changes it; host knobs (shards, tier selection) do not.
 func TestSnapshotConfigHash(t *testing.T) {
 	hash := func(src string, cfg sim.Config) uint64 {
 		m := snapMachine(t, src, cfg)
@@ -254,6 +254,11 @@ func TestSnapshotConfigHash(t *testing.T) {
 	sharded.Shards = 4
 	if h := hash(src, sharded); h != h0 {
 		t.Errorf("host knob (shards) changed the config hash")
+	}
+	noCompile := base()
+	noCompile.DisableCompile = true
+	if h := hash(src, noCompile); h != h0 {
+		t.Errorf("host knob (DisableCompile) changed the config hash")
 	}
 	bigger := base()
 	bigger.Nodes = 8
