@@ -27,20 +27,25 @@ perf:
 	$(GO) run ./cmd/april-bench -sizes paper -perf
 
 # Quick gate for the compiled execution tier: the small grid with the
-# compiler off and on (results must stay bit-identical), plus the
-# steady-state allocation pin with the translator armed.
+# compiler off, translating eagerly, and on the -reference oracle must
+# print the default run's output byte for byte, plus the steady-state
+# allocation pin with the translator armed.
 compile-smoke:
-	$(GO) run ./cmd/april-bench -sizes test -compile=false
-	$(GO) run ./cmd/april-bench -sizes test -compile -compile-threshold 1
+	$(GO) build -o /tmp/april-bench ./cmd/april-bench
+	/tmp/april-bench -sizes test > /tmp/grid-default.txt
+	/tmp/april-bench -sizes test -compile=false | diff /tmp/grid-default.txt -
+	/tmp/april-bench -sizes test -compile -compile-threshold 1 | diff /tmp/grid-default.txt -
+	/tmp/april-bench -sizes test -reference | diff /tmp/grid-default.txt -
 	$(GO) test -run CompiledSteadyStateAllocRate -v ./internal/sim/
 
-# Quick gate for the epoch engine: the small grid with epochs on and
-# off (results must stay bit-identical), the full differential matrix
-# under the race detector, and the steady-state allocation pin with
-# windows armed.
+# Quick gate for the epoch engine: the small grid with epochs off must
+# print the default run's output byte for byte, then the full
+# differential matrix under the race detector, and the steady-state
+# allocation pin with windows armed.
 epoch-smoke:
-	$(GO) run ./cmd/april-bench -sizes test
-	$(GO) run ./cmd/april-bench -sizes test -epoch=false
+	$(GO) build -o /tmp/april-bench ./cmd/april-bench
+	/tmp/april-bench -sizes test > /tmp/grid-default.txt
+	/tmp/april-bench -sizes test -epoch=false | diff /tmp/grid-default.txt -
 	$(GO) test -race -run Epoch -v ./internal/sim/
 	$(GO) test -run EpochSteadyStateAllocRate -v ./internal/sim/
 

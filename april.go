@@ -469,22 +469,21 @@ func (o Options) build() (*sim.Machine, *isa.Program, error) {
 		return nil, nil, errors.New("april: Faults requires Alewife (perfect memory has no network to perturb)")
 	}
 	m, err := sim.New(sim.Config{
-		Nodes:              max(1, o.Processors),
-		Profile:            prof,
-		Lazy:               o.LazyFutures,
-		MemoryBytes:        o.MemoryBytes,
-		MaxCycles:          o.MaxCycles,
-		Out:                o.Output,
-		Alewife:            o.Alewife,
-		DisableFastForward: o.Reference,
-		DisablePredecode:   o.Reference,
-		DisableCompile:     o.DisableCompile || o.Reference,
-		CompileThreshold:   o.CompileThreshold,
-		DisableEpoch:       o.DisableEpoch,
-		Faults:             o.Faults,
-		Check:              o.Check,
-		DeadlockWindow:     o.DeadlockWindow,
-		SabotageCycle:      o.SabotageCycle,
+		Nodes:            max(1, o.Processors),
+		Profile:          prof,
+		Lazy:             o.LazyFutures,
+		MemoryBytes:      o.MemoryBytes,
+		MaxCycles:        o.MaxCycles,
+		Out:              o.Output,
+		Alewife:          o.Alewife,
+		Reference:        o.Reference,
+		DisableCompile:   o.DisableCompile,
+		CompileThreshold: o.CompileThreshold,
+		DisableEpoch:     o.DisableEpoch,
+		Faults:           o.Faults,
+		Check:            o.Check,
+		DeadlockWindow:   o.DeadlockWindow,
+		SabotageCycle:    o.SabotageCycle,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -581,7 +580,7 @@ func Restore(image []byte, o Options) (Result, error) {
 	ov := sim.RestoreOverrides{
 		Out:              o.Output,
 		Reference:        o.Reference,
-		DisableCompile:   o.DisableCompile || o.Reference,
+		DisableCompile:   o.DisableCompile,
 		DisableEpoch:     o.DisableEpoch,
 		CompileThreshold: o.CompileThreshold,
 		Check:            o.Check,

@@ -51,11 +51,11 @@ func run() int {
 		verbose          = flag.Bool("v", false, "log each measurement as it completes")
 		frames           = flag.Bool("frames", false, "run the task-frame ablation (E9) instead of Table 3")
 		workers          = flag.Int("workers", 0, "parallel host workers (0 = one per core)")
-		naive            = flag.Bool("naive", false, "use the reference per-cycle loop and switch interpreter (no fast-forward, no predecode)")
+		reference        = flag.Bool("reference", false, "run the simulator's oracle paths (per-cycle loop, switch interpreter); results are bit-identical, only slower")
 		compile          = flag.Bool("compile", true, "enable the compiled execution tier (profile-guided basic-block superinstructions); results are bit-identical on or off")
 		compileThreshold = flag.Int("compile-threshold", 0, "block executions before the compiled tier translates (0 = default 8)")
 		epoch            = flag.Bool("epoch", true, "enable epoch execution (multi-node lockstep windows through the compiled tier); results are bit-identical on or off")
-		perf             = flag.Bool("perf", false, "measure simulator throughput and host allocator pressure (naive/serial vs fast/parallel, plus a 64-node ALEWIFE run) and write BENCH_simperf.json")
+		perf             = flag.Bool("perf", false, "measure simulator throughput and host allocator pressure (reference/serial vs fast/parallel, plus a 64-node ALEWIFE run) and write BENCH_simperf.json")
 		perfOut          = flag.String("perf-out", "BENCH_simperf.json", "output path for -perf")
 
 		statsJSON = flag.String("stats-json", "", "write every grid run's full statistics (totals, per-node, throughput) as JSON to this path")
@@ -186,7 +186,7 @@ func run() int {
 	}
 	cfg.Verbose = log
 	cfg.Workers = *workers
-	cfg.Naive = *naive
+	cfg.Reference = *reference
 	cfg.NoCompile = !*compile
 	cfg.CompileThreshold = *compileThreshold
 	cfg.NoEpoch = !*epoch

@@ -74,6 +74,9 @@ func main() {
 	flag.Parse()
 
 	memBytes, err := memoryBytes(*memMB)
+	if err == nil {
+		err = checkSizes(*nProcs, *compileThreshold, *traceCap, *ckptKeep)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "april:", err)
 		flag.Usage()
@@ -253,6 +256,29 @@ func memoryBytes(mb int) (uint32, error) {
 		return 0, fmt.Errorf("-mem %d out of range: want 0..4095 MiB", mb)
 	}
 	return uint32(mb) << 20, nil
+}
+
+// checkSizes rejects processor counts below one and negative
+// -compile-threshold, -trace-cap and -checkpoint-keep values, which the
+// library would otherwise silently replace with one node or the
+// defaults.
+func checkSizes(n, compileThreshold, traceCap, ckptKeep int) error {
+	if n < 1 {
+		return fmt.Errorf("-n %d out of range: want at least 1 processor", n)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"-compile-threshold", compileThreshold},
+		{"-trace-cap", traceCap},
+		{"-checkpoint-keep", ckptKeep},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%s %d out of range: want 0 (default) or more", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 func readSource(path string) (string, error) {

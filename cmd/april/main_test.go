@@ -27,3 +27,27 @@ func TestMemoryBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckSizes pins the size-flag checks: -n below 1 and negative
+// -compile-threshold, -trace-cap or -checkpoint-keep are usage errors,
+// not a silent fallback to one node or the defaults.
+func TestCheckSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name                         string
+		n, threshold, traceCap, keep int
+		ok                           bool
+	}{
+		{"defaults", 1, 0, 0, 0, true},
+		{"explicit", 64, 8, 1024, 3, true},
+		{"n=0", 0, 0, 0, 0, false},
+		{"n=-1", -1, 0, 0, 0, false},
+		{"compile-threshold=-1", 1, -1, 0, 0, false},
+		{"trace-cap=-1", 1, 0, -1, 0, false},
+		{"checkpoint-keep=-1", 1, 0, 0, -1, false},
+	} {
+		err := checkSizes(tc.n, tc.threshold, tc.traceCap, tc.keep)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: checkSizes = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}

@@ -31,7 +31,7 @@ type PerfReport struct {
 	Sizes       string `json:"sizes"`
 	Workers     int    `json:"workers"` // workers used by the optimized grid
 
-	// Baseline: naive loop, one worker. Predecode: fast-forward and
+	// Baseline: reference loop, one worker. Predecode: fast-forward and
 	// predecoded per-op dispatch on Workers workers with the compiled
 	// tier off. Optimized: the same plus profile-guided basic-block
 	// superinstructions. All three cover the identical run grid.
@@ -217,12 +217,11 @@ func alewifeOnce(src string, nodes int, o alewifeOpts) (runOut, error) {
 	gcBefore := proc.TakeGCSnapshot()
 	start := time.Now()
 	m, err := sim.New(sim.Config{
-		Nodes:              nodes,
-		Profile:            rts.APRIL,
-		Alewife:            &sim.AlewifeConfig{},
-		DisableFastForward: o.reference,
-		DisablePredecode:   o.reference,
-		DisableEpoch:       o.disableEpoch,
+		Nodes:        nodes,
+		Profile:      rts.APRIL,
+		Alewife:      &sim.AlewifeConfig{},
+		Reference:    o.reference,
+		DisableEpoch: o.disableEpoch,
 	})
 	if err != nil {
 		return runOut{}, err
@@ -295,7 +294,7 @@ func AlewifePerf(benchName string, sizes Sizes, nodes int) (AlewifeRow, error) {
 }
 
 // Table3Perf measures PerfReport for the given grid configuration
-// (cfg.Naive, cfg.Workers and cfg.Perf are overridden per side).
+// (cfg.Reference, cfg.Workers and cfg.Perf are overridden per side).
 func Table3Perf(cfg Table3Config, sizesName string) (PerfReport, error) {
 	rep := PerfReport{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
@@ -306,7 +305,7 @@ func Table3Perf(cfg Table3Config, sizesName string) (PerfReport, error) {
 	}
 
 	base := cfg
-	base.Naive, base.Workers, base.Perf = true, 1, &rep.Baseline
+	base.Reference, base.Workers, base.Perf = true, 1, &rep.Baseline
 	runtime.GC()
 	gcBefore := proc.TakeGCSnapshot()
 	baseRows, err := Table3(base)
@@ -316,9 +315,9 @@ func Table3Perf(cfg Table3Config, sizesName string) (PerfReport, error) {
 	rep.Baseline.SetGC(gcBefore, proc.TakeGCSnapshot())
 
 	pre := cfg
-	pre.Naive, pre.NoCompile, pre.Perf = false, true, &rep.Predecode
+	pre.Reference, pre.NoCompile, pre.Perf = false, true, &rep.Predecode
 	// Collect before each timed grid so no side inherits the previous
-	// grid's heap target: the naive grid's allocation churn otherwise
+	// grid's heap target: the reference grid's allocation churn otherwise
 	// leaves the pacer with a bloated goal that flatters whichever
 	// side runs next (observed as a 2x GC-count skew between the
 	// predecode and compiled grids despite identical alloc rates).
@@ -331,7 +330,7 @@ func Table3Perf(cfg Table3Config, sizesName string) (PerfReport, error) {
 	rep.Predecode.SetGC(gcBefore, proc.TakeGCSnapshot())
 
 	opt := cfg
-	opt.Naive, opt.NoCompile, opt.Perf = false, false, &rep.Optimized
+	opt.Reference, opt.NoCompile, opt.Perf = false, false, &rep.Optimized
 	var occ harness.Occupancy
 	opt.Occupancy = &occ
 	rep.Workers = harness.Workers(opt.Workers)

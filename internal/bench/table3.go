@@ -47,11 +47,11 @@ type Table3Config struct {
 	// results are identical at any worker count.
 	Workers int
 
-	// Naive forces every machine onto the reference per-cycle stepping
-	// loop and opcode-switch interpreter (sim.Config.DisableFastForward
-	// + DisablePredecode) — the A side of the before/after throughput
+	// Reference runs every machine on the differential oracle
+	// (sim.Config.Reference: per-cycle stepping loop, opcode-switch
+	// interpreter) — the A side of the before/after throughput
 	// comparison in Table3Perf.
-	Naive bool
+	Reference bool
 
 	// NoCompile turns off the compiled execution tier
 	// (sim.Config.DisableCompile), leaving predecoded per-op dispatch —
@@ -165,22 +165,21 @@ type runOut struct {
 	stats  RunStats
 }
 
-// runOnce compiles and runs src on a fresh machine. naive selects the
-// pre-overhaul cost profile — the reference per-cycle loop, the
-// opcode-switch interpreter, and eagerly materialized memory — so
-// Table3Perf's baseline measures what the simulator cost before the
-// throughput work; simulated results are identical either way.
+// runOnce compiles and runs src on a fresh machine. cfg.Reference
+// selects the pre-overhaul cost profile — the reference per-cycle
+// loop, the opcode-switch interpreter, and eagerly materialized
+// memory — so Table3Perf's baseline measures what the simulator cost
+// before the throughput work; simulated results are identical either
+// way.
 func runOnce(src string, mode mult.Mode, prof rts.Profile, lazy bool, nodes int, cfg *Table3Config) (runOut, error) {
 	start := time.Now()
 	m, err := sim.New(sim.Config{Nodes: nodes, Profile: prof, Lazy: lazy,
-		DisableFastForward: cfg.Naive, DisablePredecode: cfg.Naive,
-		DisableCompile: cfg.NoCompile, CompileThreshold: cfg.CompileThreshold,
-		DisableEpoch: cfg.NoEpoch})
-	naive := cfg.Naive
+		Reference: cfg.Reference, DisableCompile: cfg.NoCompile,
+		CompileThreshold: cfg.CompileThreshold, DisableEpoch: cfg.NoEpoch})
 	if err != nil {
 		return runOut{}, err
 	}
-	if naive {
+	if cfg.Reference {
 		m.Mem.Materialize()
 	}
 	prog, err := mult.Compile(src, mode, m.StaticHeap())

@@ -4,13 +4,14 @@
 // global state — uncached, read-shared by a set of nodes, or held
 // exclusively by one owner. The controller logic that exchanges the
 // protocol messages lives in package sim; this package provides the
-// entries, the sharer sets, and the message vocabulary.
+// entries, the sharer sets, the message vocabulary, and the flat block
+// table (Table) both the directory and the controllers keep per-block
+// state in.
 package directory
 
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"strings"
 )
 
@@ -149,116 +150,46 @@ type Entry struct {
 	Owner   int
 }
 
-// dirSlot is one slot of the open-addressed entry table.
-type dirSlot struct {
-	block uint32
-	live  bool
-	entry Entry
-}
-
-// Directory holds the entries homed at one node. Entries live inline
-// in an open-addressed hash table (linear probing, power-of-two size,
-// multiplicative hash): looking one up is an array index instead of a
-// map access plus a pointer chase, and creating one allocates nothing
-// beyond the amortized table growth. The table is sized from the
-// demand-paged footprint — it grows geometrically with the number of
-// distinct blocks actually touched, never with the address space — and
-// entries are never deleted (an entry that returns to Uncached keeps
-// its slot), so no tombstone machinery is needed.
+// Directory holds the entries homed at one node, inline in a Table:
+// looking one up is an array index instead of a map access plus a
+// pointer chase, and creating one allocates nothing beyond the
+// amortized table growth. Entries are never deleted (an entry that
+// returns to Uncached keeps its slot).
 type Directory struct {
-	slots []dirSlot // power-of-two length
-	shift uint      // 32 - log2(len(slots)), for the multiplicative hash
-	used  int
+	tab Table[Entry]
 
 	// Stats.
 	ReadMisses, WriteMisses, InvalsSent, Fetches, Writebacks uint64
 }
 
 // New creates an empty directory.
-func New() *Directory {
-	d := &Directory{}
-	d.initTable(64)
-	return d
-}
-
-func (d *Directory) initTable(n int) {
-	d.slots = make([]dirSlot, n)
-	shift := uint(32)
-	for m := n; m > 1; m >>= 1 {
-		shift--
-	}
-	d.shift = shift
-}
-
-// slotFor returns the index of block's slot: its live slot if present,
-// otherwise the empty slot where it would be inserted.
-func (d *Directory) slotFor(block uint32) int {
-	mask := uint32(len(d.slots) - 1)
-	i := (block * 2654435761) >> d.shift // Fibonacci hashing
-	for {
-		s := &d.slots[i]
-		if !s.live || s.block == block {
-			return int(i)
-		}
-		i = (i + 1) & mask
-	}
-}
-
-func (d *Directory) grow() {
-	old := d.slots
-	d.initTable(len(old) * 2)
-	for i := range old {
-		if old[i].live {
-			d.slots[d.slotFor(old[i].block)] = old[i]
-		}
-	}
-}
+func New() *Directory { return &Directory{} }
 
 // Entry returns (creating) the entry for block. The pointer aliases
 // the table: it stays valid only until the next Entry call that
 // inserts a new block (table growth moves entries), so callers must
 // not hold it across insertions.
 func (d *Directory) Entry(block uint32) *Entry {
-	i := d.slotFor(block)
-	if !d.slots[i].live {
-		if (d.used+1)*4 > len(d.slots)*3 { // keep load below 3/4
-			d.grow()
-			i = d.slotFor(block)
-		}
-		s := &d.slots[i]
-		s.live = true
-		s.block = block
-		s.entry = Entry{Owner: -1}
-		d.used++
+	e, inserted := d.tab.Insert(block)
+	if inserted {
+		e.Owner = -1
 	}
-	return &d.slots[i].entry
+	return e
 }
 
 // Probe returns the entry if it exists, under the same aliasing rule
 // as Entry.
 func (d *Directory) Probe(block uint32) (*Entry, bool) {
-	s := &d.slots[d.slotFor(block)]
-	if !s.live {
-		return nil, false
-	}
-	return &s.entry, true
+	e := d.tab.Ref(block)
+	return e, e != nil
 }
 
 // Entries counts allocated entries.
-func (d *Directory) Entries() int { return d.used }
+func (d *Directory) Entries() int { return d.tab.Len() }
 
 // Blocks lists every block with an allocated entry, ascending, so
 // inspection and invariant-check output is deterministic.
-func (d *Directory) Blocks() []uint32 {
-	out := make([]uint32, 0, d.used)
-	for i := range d.slots {
-		if d.slots[i].live {
-			out = append(out, d.slots[i].block)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
+func (d *Directory) Blocks() []uint32 { return d.tab.SortedKeys() }
 
 // MsgKind enumerates the coherence protocol messages.
 type MsgKind uint8

@@ -1,27 +1,13 @@
 package directory
 
-import "slices"
-
 // DumpEntries calls fn for every allocated entry in ascending block
 // order. Snapshot encoders use it: re-inserting the same entries in
 // the same order on restore rebuilds an equivalent table (the probe
 // layout may differ, but only Entry/Probe behavior is observable, and
 // that depends solely on the block→entry mapping).
 func (d *Directory) DumpEntries(fn func(block uint32, e *Entry)) {
-	idx := make([]int, 0, d.used)
-	for i := range d.slots {
-		if d.slots[i].live {
-			idx = append(idx, i)
-		}
-	}
-	slices.SortFunc(idx, func(a, b int) int {
-		if d.slots[a].block < d.slots[b].block {
-			return -1
-		}
-		return 1
-	})
-	for _, i := range idx {
-		fn(d.slots[i].block, &d.slots[i].entry)
+	for _, block := range d.tab.SortedKeys() {
+		fn(block, d.tab.Ref(block))
 	}
 }
 

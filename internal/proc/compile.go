@@ -211,10 +211,10 @@ outer:
 		if !memOK && memTouchKinds[u.Kind] {
 			// Non-perfect memory: the full dispatch path could stamp
 			// network messages mid-window, so only a provable clock-free
-			// cache hit may run here. epochMem touches no state when it
+			// cache hit may run here. hitMem touches no state when it
 			// refuses, and Kinds counts only completed dispatches (the
 			// caller's fallback Step counts the refused one).
-			if u.Kind == isa.MMem && p.epochMem(f, u) {
+			if u.Kind == isa.MMem && p.hitMem(f, u) {
 				p.Kinds[u.Kind]++
 				fops++
 				nret++
@@ -314,9 +314,9 @@ func (p *Processor) fusedOp(f *core.Frame, u *isa.Micro) bool {
 	case isa.MMem:
 		// Perfect memory fuses through the plain-access fast path; an
 		// ALEWIFE port fuses exactly the clock-free cache hits (the two
-		// are mutually exclusive: perfMem and epochPort are never both
+		// are mutually exclusive: perfMem and hitPort are never both
 		// set).
-		return p.fusedMem(f, u) || p.epochMem(f, u)
+		return p.fusedMem(f, u) || p.hitMem(f, u)
 	case isa.MNop:
 		f.PC++
 		f.NPC = f.PC + 1

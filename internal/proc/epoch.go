@@ -22,30 +22,30 @@ import (
 // with no state touched; the machine then falls back to the per-op
 // path at that exact cycle, preserving reference interleaving.
 
-// EpochPort is implemented by memory ports that can complete a plain
+// HitPort is implemented by memory ports that can complete a plain
 // flavored access as a clock-free cache hit. It is the narrow slice of
-// the ALEWIFE cache controller the epoch engine (and the per-op
-// superinstruction path) may drive without a fabric clock: a hit with
-// sufficient permission reads or writes the coherence-protected word
-// and costs one cycle with zero stall, exactly like the full
-// MemPort.Access hit path.
-type EpochPort interface {
-	// EpochHit completes a plain (no full/empty side effects) load or
-	// store iff it is a cache hit with the required permission.
+// the ALEWIFE cache controller the superinstruction handlers drive
+// without a fabric clock, both on the per-op path and inside epoch
+// windows: a hit with sufficient permission reads or writes the
+// coherence-protected word and costs one cycle with zero stall,
+// exactly like the full MemPort.Access hit path.
+type HitPort interface {
+	// ClockFreeHit completes a plain (no full/empty side effects) load
+	// or store iff it is a cache hit with the required permission.
 	// ok=false means the access was not a provable hit and NO state was
 	// touched; the caller re-executes through the full port. On ok, prev
 	// is the word's prior value (the load result) and full its observed
 	// full/empty bit, mirroring FEAccess.
-	EpochHit(addr uint32, store bool, value isa.Word) (prev isa.Word, full bool, ok bool)
+	ClockFreeHit(addr uint32, store bool, value isa.Word) (prev isa.Word, full bool, ok bool)
 }
 
-// SetEpochPort installs (or, with nil, removes) the clock-free
+// SetHitPort installs (or, with nil, removes) the clock-free
 // cache-hit port. Like the compiled tier it extends, the port changes
 // host-side dispatch only: every access it completes is bit-identical
 // to the same access through Mem.Access.
-func (p *Processor) SetEpochPort(ep EpochPort) { p.epochPort = ep }
+func (p *Processor) SetHitPort(ep HitPort) { p.hitPort = ep }
 
-// epochMem is fusedMem's counterpart for a machine with a real memory
+// hitMem is fusedMem's counterpart for a machine with a real memory
 // system: a plain-flavored load/store that hits the local cache with
 // sufficient permission. It mirrors microMem + the controller's hit
 // path exactly for the case it handles; any special condition (flavor
@@ -54,8 +54,8 @@ func (p *Processor) SetEpochPort(ep EpochPort) { p.epochPort = ep }
 // re-executes through the full path. On a hit the op retired at cost
 // 1; Instructions/UsefulCycles accounting is the caller's (fusedOp
 // contract).
-func (p *Processor) epochMem(f *core.Frame, u *isa.Micro) bool {
-	ep := p.epochPort
+func (p *Processor) hitMem(f *core.Frame, u *isa.Micro) bool {
+	ep := p.hitPort
 	if ep == nil {
 		return false
 	}
@@ -80,7 +80,7 @@ func (p *Processor) epochMem(f *core.Frame, u *isa.Micro) bool {
 	if u.Store {
 		value = e.Reg(u.Rd)
 	}
-	prev, full, ok := ep.EpochHit(ea, u.Store, value)
+	prev, full, ok := ep.ClockFreeHit(ea, u.Store, value)
 	if !ok {
 		return false
 	}

@@ -145,14 +145,14 @@ func (m *Machine) initAlewife() error {
 	var net network.Network
 	if cfg.IdealNet {
 		n := network.NewIdeal(cfg.Geometry.Nodes(), cfg.IdealLat)
-		n.SetReferenceScan(m.Cfg.DisableFastForward)
+		n.SetReferenceScan(m.Cfg.Reference)
 		net = n
 	} else {
 		t, err := network.NewTorus(cfg.Geometry)
 		if err != nil {
 			return err
 		}
-		t.SetReferenceScan(m.Cfg.DisableFastForward)
+		t.SetReferenceScan(m.Cfg.Reference)
 		net = t
 	}
 	net.SetFaultPlan(m.plan)
@@ -164,7 +164,7 @@ func (m *Machine) initAlewife() error {
 		dirtyCtl:  make([]bool, m.Cfg.Nodes),
 		shardOf:   m.shardOf,
 		dirty:     make([][]int, m.part.Shards()),
-		reference: m.Cfg.DisableFastForward,
+		reference: m.Cfg.Reference,
 		plan:      m.plan,
 		check:     m.checker,
 	}
@@ -287,7 +287,7 @@ func (f *netFabric) ctlNextEvent(ctl *cacheCtl, next uint64) uint64 {
 	for i := range ctl.recallQ {
 		pr := &ctl.recallQ[i]
 		at := pr.deadline
-		if exp, held := ctl.locked.get(pr.msg.Block); held && exp < at {
+		if exp, held := ctl.locked.Get(pr.msg.Block); held && exp < at {
 			at = exp
 		}
 		if at <= f.now {
@@ -376,8 +376,8 @@ type cacheCtl struct {
 	cache  *cache.Cache
 	dir    *directory.Directory
 
-	pending  blockTable[missState] // by value: missState is two words, no box
-	homeTx   blockTable[*homeTx]
+	pending  directory.Table[missState] // by value: missState is two words, no box
+	homeTx   directory.Table[*homeTx]
 	txFree   []*homeTx // retired homeTx objects, recycled with their queued capacity
 	outbox   []outMsg
 	outSpare []outMsg // flushOutbox double buffer
@@ -391,7 +391,7 @@ type cacheCtl struct {
 	// block. The window must exceed a switch-spinning thread's retry
 	// period — all resident frames rotating through context switches —
 	// or every line is stolen before its requester returns.
-	locked      blockTable[uint64] // block -> protection expiry cycle
+	locked      directory.Table[uint64] // block -> protection expiry cycle
 	lockWindow  uint64
 	recallQ     []pendingRecall // recalls deferred by the interlock or a miss
 	recallSpare []pendingRecall // processRecalls double buffer
@@ -498,31 +498,31 @@ func (c *cacheCtl) Access(addr uint32, f isa.MemFlavor, store bool, value isa.Wo
 	return res, err
 }
 
-// EpochHit implements proc.EpochPort: the clock-free slice of access's
-// hit path, driven by the epoch engine and the superinstruction
-// handlers without a fabric tick. It completes a plain access iff the
-// block is cached with the required permission — a store needs the
-// exclusive copy; a load is satisfied by any copy — and mirrors the
-// full hit path byte for byte: the same cache Lookup (hit counter and
-// LRU touch), the same FEAccess against the flat store, the same dirty
-// marking, and the same interlock release. Everything else (miss,
-// upgrade, out-of-range address) refuses with no state touched, so the
-// caller's fallback through Access observes exactly the state the
-// reference path would. The callers exclude full/empty-flavored
-// accesses, so needWrite reduces to store and FEAccess cannot
-// sync-fault. Note a probe, not Lookup, makes the refusal decision: a
-// refused access must not pre-count the miss the full path is about to
-// count. The cache and the interlock table are each probed once; the
-// hit then works on the slots found. (The invariant checkers force the
-// compiled tier off, so the checkBlock audit in Access has no
-// counterpart here.)
-func (c *cacheCtl) EpochHit(addr uint32, store bool, value isa.Word) (isa.Word, bool, bool) {
+// ClockFreeHit implements proc.HitPort: the clock-free slice of
+// access's hit path, driven by the superinstruction handlers (per op
+// and inside epoch windows) without a fabric tick. It completes a
+// plain access iff the block is cached with the required permission —
+// a store needs the exclusive copy; a load is satisfied by any copy —
+// and mirrors the full hit path byte for byte: the same cache Lookup
+// (hit counter and LRU touch), the same FEAccess against the flat
+// store, the same dirty marking, and the same interlock release.
+// Everything else (miss, upgrade, out-of-range address) refuses with
+// no state touched, so the caller's fallback through Access observes
+// exactly the state the reference path would. The callers exclude
+// full/empty-flavored accesses, so needWrite reduces to store and
+// FEAccess cannot sync-fault. Note a probe, not Lookup, makes the
+// refusal decision: a refused access must not pre-count the miss the
+// full path is about to count. The cache and the interlock table are
+// each probed once; the hit then works on the slots found. (The
+// invariant checkers force the compiled tier off, so the checkBlock
+// audit in Access has no counterpart here.)
+func (c *cacheCtl) ClockFreeHit(addr uint32, store bool, value isa.Word) (isa.Word, bool, bool) {
 	block := c.blockOf(addr)
 	slot, st := c.cache.ProbeSlot(block)
 	if slot < 0 || (store && st != cache.Exclusive) || !c.mem().InRange(addr) {
 		return 0, false, false
 	}
-	lock := c.locked.find(block)
+	lock := c.locked.Find(block)
 	if lock >= 0 {
 		// A hit releases the first-use interlock, and a recall deferred
 		// on that lock would then fire on the very next tick — earlier
@@ -548,7 +548,7 @@ func (c *cacheCtl) EpochHit(addr uint32, store bool, value isa.Word) (isa.Word, 
 		c.cache.MarkDirtySlot(slot)
 	}
 	if lock >= 0 {
-		c.locked.deleteAt(lock)
+		c.locked.DeleteAt(lock)
 	}
 	return res.Value, res.Full, true
 }
@@ -564,13 +564,13 @@ func (c *cacheCtl) access(addr uint32, f isa.MemFlavor, store bool, value isa.Wo
 		}
 		if err == nil {
 			// One access completed: release the interlock.
-			c.locked.del(block)
+			c.locked.Del(block)
 		}
 		return res, err
 	}
 
 	// Miss (or upgrade). An outstanding transaction for this block?
-	if c.pending.has(block) {
+	if c.pending.Has(block) {
 		return c.missResult(f), nil
 	}
 
@@ -588,7 +588,7 @@ func (c *cacheCtl) access(addr uint32, f isa.MemFlavor, store bool, value isa.Wo
 		}
 		// Home here, but third parties hold the block: run the home
 		// transaction against ourselves as requester.
-		c.pending.put(block, missState{write: needWrite, start: c.fabric.now})
+		c.pending.Put(block, missState{write: needWrite, start: c.fabric.now})
 		c.fabric.trace.Emit(c.node, trace.KMissStart, int32(block), b2i(needWrite), int32(home), 0)
 		kind := directory.ReadReq
 		if needWrite {
@@ -599,7 +599,7 @@ func (c *cacheCtl) access(addr uint32, f isa.MemFlavor, store bool, value isa.Wo
 	}
 
 	// Remote home: issue the request.
-	c.pending.put(block, missState{write: needWrite, start: c.fabric.now})
+	c.pending.Put(block, missState{write: needWrite, start: c.fabric.now})
 	c.fabric.trace.Emit(c.node, trace.KMissStart, int32(block), b2i(needWrite), int32(home), 0)
 	kind := directory.ReadReq
 	if needWrite {
@@ -628,7 +628,7 @@ func (c *cacheCtl) missResult(f isa.MemFlavor) proc.MemResult {
 // tryLocal satisfies a home-node miss without the network when the
 // directory permits: nobody else holds the block (or only we do).
 func (c *cacheCtl) tryLocal(block uint32, write bool) (stall int, ok bool) {
-	if c.homeTx.has(block) {
+	if c.homeTx.Has(block) {
 		return 0, false
 	}
 	e := c.dir.Entry(block)
@@ -696,7 +696,7 @@ func (c *cacheCtl) handleMsg(msg directory.Msg) {
 
 	case directory.WBNotify, directory.FlushWB:
 		// While a Fetch is in flight, the FetchAck path completes the tx.
-		if !c.homeTx.has(msg.Block) {
+		if !c.homeTx.Has(msg.Block) {
 			e := c.dir.Entry(msg.Block)
 			if e.State == directory.Exclusive && e.Owner == msg.From {
 				e.State = directory.Uncached
@@ -721,11 +721,11 @@ func (c *cacheCtl) handleMsg(msg directory.Msg) {
 		c.homeAck(msg)
 
 	case directory.Data, directory.DataEx:
-		ms, busy := c.pending.get(msg.Block)
+		ms, busy := c.pending.Get(msg.Block)
 		if !busy {
 			return // stale duplicate; drop
 		}
-		c.pending.del(msg.Block)
+		c.pending.Del(msg.Block)
 		c.Stats.RemoteMisses++
 		c.Stats.RemoteLatency += c.fabric.now - ms.start
 		c.fabric.trace.Emit(c.node, trace.KMissFill,
@@ -737,7 +737,7 @@ func (c *cacheCtl) handleMsg(msg directory.Msg) {
 			return
 		}
 		c.install(msg.Block, msg.Kind == directory.DataEx)
-		c.locked.put(msg.Block, c.fabric.now+c.lockWindow)
+		c.locked.Put(msg.Block, c.fabric.now+c.lockWindow)
 		// Recalls that were waiting for this grant now queue behind the
 		// first-use interlock (processRecalls applies them).
 	}
@@ -755,16 +755,16 @@ func (c *cacheCtl) handleMsg(msg directory.Msg) {
 //     (Section 3.1's forward-progress interlock).
 func (c *cacheCtl) handleRecall(msg directory.Msg) {
 	_, cached := c.cache.Probe(msg.Block)
-	if ms, busy := c.pending.get(msg.Block); busy {
+	if ms, busy := c.pending.Get(msg.Block); busy {
 		if !cached {
 			c.recallQ = append(c.recallQ, pendingRecall{msg: msg, deadline: c.fabric.now + recallWait})
 			c.fabric.markDirty(c.node)
 			return
 		}
 		ms.poisoned = true
-		c.pending.put(msg.Block, ms)
+		c.pending.Put(msg.Block, ms)
 	}
-	if exp, held := c.locked.get(msg.Block); held && c.fabric.now < exp {
+	if exp, held := c.locked.Get(msg.Block); held && c.fabric.now < exp {
 		c.recallQ = append(c.recallQ, pendingRecall{msg: msg, deadline: c.fabric.now + recallWait})
 		c.fabric.markDirty(c.node)
 		return
@@ -784,11 +784,11 @@ func (c *cacheCtl) processRecalls() {
 	c.recallQ = c.recallSpare[:0]
 	for _, pr := range q {
 		block := pr.msg.Block
-		if exp, held := c.locked.get(block); held && c.fabric.now < exp {
+		if exp, held := c.locked.Get(block); held && c.fabric.now < exp {
 			c.recallQ = append(c.recallQ, pr)
 			continue
 		}
-		ms, busy := c.pending.get(block)
+		ms, busy := c.pending.Get(block)
 		_, cached := c.cache.Probe(block)
 		if busy && !cached && c.fabric.now < pr.deadline {
 			c.recallQ = append(c.recallQ, pr)
@@ -796,7 +796,7 @@ func (c *cacheCtl) processRecalls() {
 		}
 		if busy {
 			ms.poisoned = true
-			c.pending.put(block, ms)
+			c.pending.Put(block, ms)
 		}
 		c.recall(pr.msg)
 	}
@@ -831,7 +831,7 @@ func (c *cacheCtl) recall(msg directory.Msg) {
 // homeRequest runs the directory state machine for a request arriving
 // at this (home) node.
 func (c *cacheCtl) homeRequest(req directory.Msg) {
-	if tx, busy := c.homeTx.get(req.Block); busy {
+	if tx, busy := c.homeTx.Get(req.Block); busy {
 		tx.queued = append(tx.queued, req)
 		return
 	}
@@ -855,7 +855,7 @@ func (c *cacheCtl) homeRequest(req directory.Msg) {
 				return
 			}
 			c.dir.Fetches++
-			c.homeTx.put(req.Block, c.newTx(false, req.From, 1))
+			c.homeTx.Put(req.Block, c.newTx(false, req.From, 1))
 			c.send(e.Owner, directory.Msg{Kind: directory.Fetch, Block: req.Block, Requester: req.From, Write: false}, 0)
 		}
 		return
@@ -878,7 +878,7 @@ func (c *cacheCtl) homeRequest(req directory.Msg) {
 			return
 		}
 		c.dir.InvalsSent += uint64(len(targets))
-		c.homeTx.put(req.Block, c.newTx(true, req.From, len(targets)))
+		c.homeTx.Put(req.Block, c.newTx(true, req.From, len(targets)))
 		for _, t := range targets {
 			c.send(t, directory.Msg{Kind: directory.Inv, Block: req.Block, Requester: req.From}, 0)
 		}
@@ -888,7 +888,7 @@ func (c *cacheCtl) homeRequest(req directory.Msg) {
 			return
 		}
 		c.dir.Fetches++
-		c.homeTx.put(req.Block, c.newTx(true, req.From, 1))
+		c.homeTx.Put(req.Block, c.newTx(true, req.From, 1))
 		c.send(e.Owner, directory.Msg{Kind: directory.Fetch, Block: req.Block, Requester: req.From, Write: true}, 0)
 	}
 }
@@ -896,7 +896,7 @@ func (c *cacheCtl) homeRequest(req directory.Msg) {
 // homeAck retires one acknowledgment of a pending home transaction and
 // completes it when all are in.
 func (c *cacheCtl) homeAck(msg directory.Msg) {
-	tx, busy := c.homeTx.get(msg.Block)
+	tx, busy := c.homeTx.Get(msg.Block)
 	if !busy {
 		return
 	}
@@ -904,7 +904,7 @@ func (c *cacheCtl) homeAck(msg directory.Msg) {
 	if tx.acksLeft > 0 {
 		return
 	}
-	c.homeTx.del(msg.Block)
+	c.homeTx.Del(msg.Block)
 	e := c.dir.Entry(msg.Block)
 	lat := c.fabric.cfg.MemLatency
 	old := e.State

@@ -64,7 +64,7 @@ func (m *Machine) buildReport(reason string, cause error) *fault.Report {
 			Ready:       m.Sched.ReadyOn(i),
 		}
 		if n.cache != nil {
-			n.cache.pending.forEach(func(block uint32, ms missState) {
+			n.cache.pending.ForEach(func(block uint32, ms missState) {
 				ns.Outstanding = append(ns.Outstanding, fault.MissStatus{
 					Block:    block,
 					Home:     m.net.dist.Home(block * m.net.cfg.Cache.BlockBytes),

@@ -40,7 +40,7 @@ func quiesce(t *testing.T, m *Machine) {
 		busy := false
 		for _, n := range m.Nodes {
 			ctl := n.cache
-			if ctl.pending.len() > 0 || ctl.homeTx.len() > 0 || len(ctl.outbox) > 0 {
+			if ctl.pending.Len() > 0 || ctl.homeTx.Len() > 0 || len(ctl.outbox) > 0 {
 				busy = true
 			}
 		}

@@ -212,7 +212,7 @@ func TestKindCountsTierInvariant(t *testing.T) {
 	compiled := runCompileSide(t, src, sim.Config{Nodes: 4, CompileThreshold: 1})
 	predecode := runCompileSide(t, src, sim.Config{Nodes: 4, DisableCompile: true})
 	reference := runCompileSide(t, src, sim.Config{
-		Nodes: 4, DisableFastForward: true, DisablePredecode: true,
+		Nodes: 4, Reference: true,
 	})
 	ck := compiled.m.KindTotals()
 	if pk := predecode.m.KindTotals(); !reflect.DeepEqual(ck, pk) {

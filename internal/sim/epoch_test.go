@@ -45,7 +45,7 @@ func TestEpochMatchesOracles(t *testing.T) {
 				return cfg
 			}
 			ref := runCompileSide(t, tc.src, mk(func(c *sim.Config) {
-				c.DisableFastForward, c.DisablePredecode = true, true
+				c.Reference = true
 			}))
 			rows := map[string]sim.Config{
 				"predecode":        mk(func(c *sim.Config) { c.DisableCompile = true }),
@@ -78,7 +78,7 @@ func TestEpochHorizonBoundaryDeliveries(t *testing.T) {
 	base := sim.Config{Nodes: 4, Alewife: &sim.AlewifeConfig{}}
 	ref := runCompileSide(t, src, sim.Config{
 		Nodes: 4, Alewife: &sim.AlewifeConfig{},
-		DisableFastForward: true, DisablePredecode: true,
+		Reference: true,
 	})
 	for k := uint64(0); k <= 6; k++ {
 		cfg := base

@@ -3,10 +3,10 @@ package sim_test
 // Differential tests for the work-proportional run loop and the
 // predecoded dispatch tables: the same program on the same machine
 // must produce byte-identical simulated results whether Run steps
-// every cycle through the reference interpreter (DisableFastForward +
-// DisablePredecode) or uses the wake-queue loop and micro-op handlers,
-// with tracing on or off. This is the contract that lets the fast
-// paths replace the reference ones everywhere.
+// every cycle through the reference interpreter (Config.Reference) or
+// uses the wake-queue loop and micro-op handlers, with tracing on or
+// off. This is the contract that lets the fast paths replace the
+// reference ones everywhere.
 
 import (
 	"fmt"
@@ -32,15 +32,9 @@ type ffOutcome struct {
 type ffConfig struct {
 	nodes   int
 	alewife bool
-	naive   bool // reference loop AND reference interpreter
+	naive   bool // Config.Reference: the oracle loop and interpreter
 	tracing bool
 	memMB   uint32 // simulated memory; 0 is the default
-
-	// Independent flag control for the mixed-mode combinations
-	// (ignored unless mixed is set; naive must be false then).
-	mixed         bool
-	disableFF     bool
-	disablePredec bool
 }
 
 func runDifferential(t *testing.T, src string, cfg ffConfig) ffOutcome {
@@ -49,17 +43,12 @@ func runDifferential(t *testing.T, src string, cfg ffConfig) ffOutcome {
 	if cfg.alewife {
 		aw = &sim.AlewifeConfig{}
 	}
-	disFF, disPre := cfg.naive, cfg.naive
-	if cfg.mixed {
-		disFF, disPre = cfg.disableFF, cfg.disablePredec
-	}
 	m, err := sim.New(sim.Config{
-		Nodes:              cfg.nodes,
-		Profile:            rts.APRIL,
-		Alewife:            aw,
-		DisableFastForward: disFF,
-		DisablePredecode:   disPre,
-		MemoryBytes:        cfg.memMB << 20,
+		Nodes:       cfg.nodes,
+		Profile:     rts.APRIL,
+		Alewife:     aw,
+		Reference:   cfg.naive,
+		MemoryBytes: cfg.memMB << 20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,40 +152,6 @@ func TestPooledPayloadIdentity(t *testing.T) {
 			fast := runDifferential(t, src, ffConfig{nodes: nodes, alewife: true})
 			naive := runDifferential(t, src, ffConfig{nodes: nodes, alewife: true, naive: true})
 			compareOutcomes(t, fast, naive)
-		})
-	}
-}
-
-// TestMixedModeFlagsAgree exercises the two optimizations
-// independently: fast-forward with the reference interpreter, and the
-// predecoded interpreter under the reference loop, must both match the
-// all-reference run exactly.
-func TestMixedModeFlagsAgree(t *testing.T) {
-	src := bench.QueensSource(6)
-	for _, alewife := range []bool{false, true} {
-		mode := "perfect"
-		if alewife {
-			mode = "alewife"
-		}
-		t.Run(mode, func(t *testing.T) {
-			ref := runDifferential(t, src, ffConfig{nodes: 8, alewife: alewife, naive: true})
-			for _, c := range []struct {
-				name          string
-				disFF, disPre bool
-			}{
-				{"fastforward-only", false, true},
-				{"predecode-only", true, false},
-				{"both", false, false},
-			} {
-				got := runDifferential(t, src, ffConfig{
-					nodes: 8, alewife: alewife,
-					mixed: true, disableFF: c.disFF, disablePredec: c.disPre,
-				})
-				if got.cycles != ref.cycles || got.value != ref.value || !reflect.DeepEqual(got.stats, ref.stats) {
-					t.Errorf("%s diverges from reference: cycles %d vs %d, value %s vs %s",
-						c.name, got.cycles, ref.cycles, got.value, ref.value)
-				}
-			}
 		})
 	}
 }

@@ -107,11 +107,10 @@ func TestBudgetErrorMatchesReference(t *testing.T) {
 `
 	runOut := func(reference bool) error {
 		m, err := New(Config{
-			Nodes:              2,
-			Profile:            rts.APRIL,
-			MaxCycles:          5000,
-			DisableFastForward: reference,
-			DisablePredecode:   reference,
+			Nodes:     2,
+			Profile:   rts.APRIL,
+			MaxCycles: 5000,
+			Reference: reference,
 		})
 		if err != nil {
 			t.Fatal(err)

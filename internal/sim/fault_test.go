@@ -68,13 +68,12 @@ func TestInvariantFaultDifferential(t *testing.T) {
 			fc := fault.Default(9)
 			mk := func(naive bool) sim.Config {
 				return sim.Config{
-					Nodes:              8,
-					Profile:            rts.APRIL,
-					Alewife:            &sim.AlewifeConfig{IdealNet: tc.ideal},
-					Faults:             &fc,
-					Check:              true,
-					DisableFastForward: naive,
-					DisablePredecode:   naive,
+					Nodes:     8,
+					Profile:   rts.APRIL,
+					Alewife:   &sim.AlewifeConfig{IdealNet: tc.ideal},
+					Faults:    &fc,
+					Check:     true,
+					Reference: naive,
 				}
 			}
 			fast, _ := runFaulted(t, tc.src, mk(false), false)

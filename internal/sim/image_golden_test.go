@@ -64,9 +64,9 @@ func TestSnapshotGoldenImageHash(t *testing.T) {
 	sleeping, pending, homeTx, locked := 0, 0, 0, 0
 	m.wakeq.forEach(func(int, uint64) { sleeping++ })
 	for _, n := range m.Nodes {
-		pending += n.cache.pending.len()
-		homeTx += n.cache.homeTx.len()
-		locked += n.cache.locked.len()
+		pending += n.cache.pending.Len()
+		homeTx += n.cache.homeTx.Len()
+		locked += n.cache.locked.Len()
 	}
 	t.Logf("cycle %d: %d sleeping nodes, %d pending misses, %d home transactions, %d locked blocks",
 		m.Now(), sleeping, pending, homeTx, locked)

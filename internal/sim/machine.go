@@ -55,7 +55,7 @@ type Config struct {
 	// are bit-identical for every shard count; the differential tests in
 	// shard_test.go hold the sharded loop to that. <= 1 keeps the
 	// sequential loop; values above Nodes are clamped. Forced to 1 when
-	// DisableFastForward (the oracle loop is the point of that flag) or
+	// Reference (the oracle loop is the point of that flag) or
 	// Check (the invariant checkers read cross-node state on every
 	// transition, which would race across shards) is set. No CLI or
 	// facade option sets it: the tier never beat one shard on the torus
@@ -71,32 +71,27 @@ type Config struct {
 	// eligible cycle through the parallel phases.
 	ShardBatch int
 
-	// DisableFastForward forces the reference stepping loop: one
-	// iteration per simulated cycle, visiting every node to decrement
-	// its relative busy counter. The default loop instead keeps
-	// absolute wake cycles in a priority queue, visits only the nodes
-	// due at the current cycle, and fast-forwards across provably
-	// uneventful stretches. Simulated results are bit-identical either
-	// way (the differential tests assert this); the reference loop
-	// exists as the oracle implementation and for those tests.
-	DisableFastForward bool
-
-	// DisablePredecode forces the reference opcode-switch interpreter
-	// instead of the predecoded flat-table dispatch. As with
-	// DisableFastForward, simulated results are bit-identical either
-	// way; the switch interpreter is the differential oracle.
-	DisablePredecode bool
+	// Reference selects the differential oracle: the per-cycle stepping
+	// loop (one iteration per simulated cycle, visiting every node to
+	// decrement its relative busy counter), the opcode-switch
+	// interpreter, and the dense-scan cost profile (idle steal probe,
+	// full network and controller scans). The default instead keeps
+	// absolute wake cycles in a timing wheel, visits only the nodes due
+	// at the current cycle, fast-forwards across provably uneventful
+	// stretches, and dispatches through the predecoded flat tables.
+	// Simulated results are bit-identical either way; the differential
+	// tests assert this.
+	Reference bool
 
 	// DisableCompile turns off the third execution tier: profile-guided
 	// fusion of hot basic blocks into superinstructions, executed in
 	// bulk across isolated windows (see compile.go and proc.StepFused).
-	// As with the other two knobs, simulated results are bit-identical
-	// either way; disabling leaves the predecoded per-op path as the
+	// As with Reference, simulated results are bit-identical either
+	// way; disabling leaves the predecoded per-op path as the
 	// differential oracle for the compiled tier. The tier is implied
-	// off by DisablePredecode (it runs over the predecoded image),
-	// DisableFastForward (it lives in the work-proportional loops), and
-	// Check (the invariant checkers audit at per-cycle watermarks the
-	// fused windows would cross).
+	// off by Reference (it runs over the predecoded image in the
+	// work-proportional loops) and Check (the invariant checkers audit
+	// at per-cycle watermarks the fused windows would cross).
 	DisableCompile bool
 
 	// CompileThreshold is how many times a block entry PC must execute
@@ -109,7 +104,7 @@ type Config struct {
 	// bit-identical either way; disabling leaves the per-cycle stepping
 	// of the same ops as the differential oracle for epoch windows. The
 	// engine is implied off by anything that disarms the compiled tier
-	// (DisablePredecode, DisableCompile, DisableFastForward, Check).
+	// (Reference, DisableCompile, Check).
 	DisableEpoch bool
 
 	// Horizon caps the epoch engine's window length in cycles: 0 means
@@ -277,7 +272,7 @@ func New(cfg Config) (*Machine, error) {
 	m.Sched = rts.NewScheduler(m.Mem, &prof, cfg.Lazy, cfg.Nodes, stackArena, heapArena, cfg.Out)
 	// The reference cost profile keeps every O(machine size) scan the
 	// pre-overhaul loop paid, including the idle steal probe.
-	m.Sched.ScanSteal = cfg.DisableFastForward
+	m.Sched.ScanSteal = cfg.Reference
 
 	// The fault plan and checker must exist before initAlewife wires the
 	// fabric: the network backends and cache controllers capture them at
@@ -296,13 +291,13 @@ func New(cfg Config) (*Machine, error) {
 	m.nextWedgeCheck = wedgeInterval
 
 	// The shard layout exists for every machine (a single block when
-	// unsharded) so Partition() and the fabric's dirty buckets need no
-	// special cases. It is fixed before initAlewife, which wires it into
-	// the fabric. The oracle loop and the invariant checkers force one
-	// shard: the former is the sequential reference by definition, the
-	// latter read cross-node state on every protocol transition.
+	// unsharded) so the fabric's dirty buckets need no special cases.
+	// It is fixed before initAlewife, which wires it into the fabric.
+	// The oracle loop and the invariant checkers force one shard: the
+	// former is the sequential reference by definition, the latter read
+	// cross-node state on every protocol transition.
 	shards := cfg.Shards
-	if cfg.DisableFastForward || cfg.Check {
+	if cfg.Reference || cfg.Check {
 		shards = 1
 	}
 	m.part = network.ComputePartition(cfg.Nodes, shards)
@@ -375,13 +370,13 @@ func (m *Machine) Load(prog *isa.Program) error {
 	for _, n := range m.Nodes {
 		n.Proc.Prog = prog
 	}
-	if !m.Cfg.DisablePredecode {
+	if !m.Cfg.Reference {
 		// One predecoded image, shared read-only by every node.
 		micro := prog.Predecode()
 		for _, n := range m.Nodes {
 			n.Proc.SetMicro(micro)
 		}
-		if !m.Cfg.DisableCompile && !m.Cfg.DisableFastForward && !m.Cfg.Check {
+		if !m.Cfg.DisableCompile && !m.Cfg.Check {
 			// Arm the compiled tier: one block-translation set over the
 			// shared image (profiled and translated only on the
 			// coordinating goroutine), sized here so steady state
@@ -398,7 +393,7 @@ func (m *Machine) Load(prog *isa.Program) error {
 				// cache-hit port lets both the per-op superinstruction
 				// path and epoch windows cross plain cached accesses.
 				for _, n := range m.Nodes {
-					n.Proc.SetEpochPort(n.cache)
+					n.Proc.SetHitPort(n.cache)
 				}
 			}
 			// The epoch engine rides on the compiled tier: multi-node
@@ -516,7 +511,7 @@ func (m *Machine) runGuarded(limit uint64) (hit bool, err error) {
 		hit = false
 		err = m.crash(fault.ReasonMemFault, f)
 	}()
-	if m.Cfg.DisableFastForward {
+	if m.Cfg.Reference {
 		return m.runReferenceUntil(limit)
 	}
 	if m.part.Shards() > 1 {
@@ -595,11 +590,6 @@ func (m *Machine) runEventful(limit uint64) (hit bool, err error) {
 	}
 }
 
-// Partition exposes the machine's shard layout: contiguous node blocks,
-// one per worker goroutine (a single block covering every node when the
-// machine is unsharded).
-func (m *Machine) Partition() network.Partition { return m.part }
-
 // deadlockErr builds the deadlock error: the machine-wide counts the
 // one-line error always carried, extended with per-node ready/blocked
 // occupancy and each node's last retirement cycle so the wedge can be
@@ -629,7 +619,7 @@ func (m *Machine) checkWedge() error {
 		var worstBlock uint32
 		var worstAge uint64
 		found := false
-		n.cache.pending.forEach(func(block uint32, ms missState) {
+		n.cache.pending.ForEach(func(block uint32, ms missState) {
 			age := m.net.now - ms.start
 			if age < wedgeWindow {
 				return

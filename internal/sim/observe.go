@@ -68,7 +68,7 @@ func (m *Machine) sample() {
 		}
 		row.Utilization = trace.SafeRate(row.Useful, row.Total())
 		if n.cache != nil {
-			row.OutstandingRemote = n.cache.pending.len()
+			row.OutstandingRemote = n.cache.pending.Len()
 		}
 		if m.net != nil {
 			row.NetInFlight = m.net.net.InFlight()
@@ -184,8 +184,8 @@ func (m *Machine) CounterRegistry() *trace.Registry {
 					"dir_invals_sent":     d.InvalsSent,
 					"dir_fetches":         d.Fetches,
 					"dir_writebacks":      d.Writebacks,
-					"outstanding_remote":  uint64(ctl.pending.len()),
-					"pending_home_tx":     uint64(ctl.homeTx.len()),
+					"outstanding_remote":  uint64(ctl.pending.Len()),
+					"pending_home_tx":     uint64(ctl.homeTx.Len()),
 					"deferred_recalls":    uint64(len(ctl.recallQ)),
 					"outstanding_flushes": uint64(ctl.fence),
 				}

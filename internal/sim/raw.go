@@ -17,7 +17,7 @@ func (m *Machine) LoadRaw(prog *isa.Program) {
 	for _, n := range m.Nodes {
 		n.Proc.Prog = prog
 	}
-	if !m.Cfg.DisablePredecode {
+	if !m.Cfg.Reference {
 		micro := prog.Predecode()
 		for _, n := range m.Nodes {
 			n.Proc.SetMicro(micro)
@@ -52,7 +52,7 @@ func (m *Machine) RunFor(cycles uint64) error {
 		return errors.New("sim: no program loaded")
 	}
 	end := m.now + cycles
-	if m.Cfg.DisableFastForward {
+	if m.Cfg.Reference {
 		for m.now < end {
 			for _, n := range m.Nodes {
 				if n.busy > 0 {

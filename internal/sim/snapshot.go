@@ -85,7 +85,7 @@ func (m *Machine) ConfigHash() (uint64, error) {
 type RestoreOverrides struct {
 	Out io.Writer
 
-	Reference        bool // reference loops (DisableFastForward + DisablePredecode)
+	Reference        bool // the differential oracle (Config.Reference)
 	DisableCompile   bool
 	DisableEpoch     bool
 	CompileThreshold int
@@ -115,8 +115,7 @@ func Restore(img []byte, ov RestoreOverrides) (*Machine, error) {
 		return nil, err
 	}
 	cfg.Out = ov.Out
-	cfg.DisableFastForward = ov.Reference
-	cfg.DisablePredecode = ov.Reference
+	cfg.Reference = ov.Reference
 	cfg.DisableCompile = ov.DisableCompile
 	cfg.DisableEpoch = ov.DisableEpoch
 	cfg.CompileThreshold = ov.CompileThreshold
@@ -472,7 +471,7 @@ func (m *Machine) decodeState(r *snapshot.Reader) error {
 // restores into either representation.
 func (m *Machine) busyRemaining() []uint64 {
 	rem := make([]uint64, len(m.Nodes))
-	if m.Cfg.DisableFastForward {
+	if m.Cfg.Reference {
 		for i, n := range m.Nodes {
 			rem[i] = uint64(n.busy)
 		}
@@ -489,7 +488,7 @@ func (m *Machine) busyRemaining() []uint64 {
 // rebuildRunLists installs canonical per-node remaining-busy values
 // into the target loop's representation.
 func (m *Machine) rebuildRunLists(rem []uint64) {
-	if m.Cfg.DisableFastForward {
+	if m.Cfg.Reference {
 		for i, n := range m.Nodes {
 			n.busy = int(rem[i])
 		}
@@ -1082,9 +1081,9 @@ func encodeCtl(w *snapshot.Writer, c *cacheCtl) {
 	})
 
 	// Outstanding misses, sorted by block.
-	w.Count(c.pending.len())
-	for _, block := range c.pending.sortedKeys() {
-		ms, _ := c.pending.get(block)
+	w.Count(c.pending.Len())
+	for _, block := range c.pending.SortedKeys() {
+		ms, _ := c.pending.Get(block)
 		w.U32(block)
 		w.Bool(ms.write)
 		w.U64(ms.start)
@@ -1092,9 +1091,9 @@ func encodeCtl(w *snapshot.Writer, c *cacheCtl) {
 	}
 
 	// Home transactions, sorted by block.
-	w.Count(c.homeTx.len())
-	for _, block := range c.homeTx.sortedKeys() {
-		tx, _ := c.homeTx.get(block)
+	w.Count(c.homeTx.Len())
+	for _, block := range c.homeTx.SortedKeys() {
+		tx, _ := c.homeTx.Get(block)
 		w.U32(block)
 		w.Bool(tx.write)
 		w.Int(tx.requester)
@@ -1119,9 +1118,9 @@ func encodeCtl(w *snapshot.Writer, c *cacheCtl) {
 	}
 
 	w.Int(c.fence)
-	w.Count(c.locked.len())
-	for _, block := range c.locked.sortedKeys() {
-		exp, _ := c.locked.get(block)
+	w.Count(c.locked.Len())
+	for _, block := range c.locked.SortedKeys() {
+		exp, _ := c.locked.Get(block)
 		w.U32(block)
 		w.U64(exp)
 	}
@@ -1201,18 +1200,18 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 	}
 
 	npend := r.Count("pending misses")
-	c.pending.reset()
+	c.pending.Reset()
 	for i := 0; i < npend; i++ {
 		block := r.U32()
 		var ms missState
 		ms.write = r.Bool()
 		ms.start = r.U64()
 		ms.poisoned = r.Bool()
-		c.pending.put(block, ms)
+		c.pending.Put(block, ms)
 	}
 
 	ntx := r.Count("home transactions")
-	c.homeTx.reset()
+	c.homeTx.Reset()
 	for i := 0; i < ntx; i++ {
 		block := r.U32()
 		tx := &homeTx{}
@@ -1226,7 +1225,7 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 		if r.Err() != nil {
 			return
 		}
-		c.homeTx.put(block, tx)
+		c.homeTx.Put(block, tx)
 	}
 
 	nout := r.Count("outbox")
@@ -1249,10 +1248,10 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 
 	c.fence = r.Int()
 	nlock := r.Count("locked blocks")
-	c.locked.reset()
+	c.locked.Reset()
 	for i := 0; i < nlock; i++ {
 		block := r.U32()
-		c.locked.put(block, r.U64())
+		c.locked.Put(block, r.U64())
 	}
 	c.replySeq = r.U64()
 	c.Stats.LocalMisses = r.U64()
